@@ -47,6 +47,9 @@ DEFAULT_MAX_ENTRIES = 8192
 # milliseconds, so anything this old was left by a killed process.
 TMP_ORPHAN_AGE_SECONDS = 300.0
 
+#: a waiting FileLock's first retry pause; it doubles from there
+LOCK_FIRST_BACKOFF_S = 0.0005
+
 
 # ----------------------------------------------------------------------
 # Cross-process file lock
@@ -69,6 +72,10 @@ class FileLock:
     out instead of being stolen; (3) the claim token is re-read
     immediately before the unlink, so a lock released-and-reacquired by
     someone else mid-break is left alone.
+
+    A waiter retries after :data:`LOCK_FIRST_BACKOFF_S`, doubling the
+    pause up to ``poll_interval``: a short hold is handed over within
+    about its own length, and a long one costs few retries.
     """
 
     def __init__(
@@ -89,6 +96,7 @@ class FileLock:
         import time
 
         deadline = time.monotonic() + self.timeout
+        backoff = min(LOCK_FIRST_BACKOFF_S, self.poll_interval)
         while True:
             token = f"{os.getpid()}:{os.urandom(8).hex()}"
             try:
@@ -102,7 +110,8 @@ class FileLock:
                         f"could not acquire {self.path} within "
                         f"{self.timeout:.1f}s"
                     ) from None
-                time.sleep(self.poll_interval)
+                time.sleep(backoff)
+                backoff = min(2 * backoff, self.poll_interval)
                 continue
             with os.fdopen(fd, "w") as fh:
                 fh.write(token)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.metadata
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -103,6 +104,10 @@ class Registry:
         self._entries: dict[str, RegistryEntry] = {}
         self._aliases: dict[str, str] = {}
         self._discovered = False
+        # Held through a discovery, so that another thread's first
+        # lookup waits for it instead of seeing a half-filled registry;
+        # re-entrant for builtin modules that look names up on import.
+        self._discover_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Registration
@@ -203,13 +208,14 @@ class Registry:
         *path* overrides the distribution search path (``sys.path`` by
         default) — tests point it at a stub ``.dist-info`` directory.
         """
-        if self._discovered and not force:
-            return
-        self._discovered = True
-        for modname in self.builtin_modules:
-            importlib.import_module(modname)  # decorators self-register
-        if self.entry_point_group:
-            self._load_entry_points(path=path)
+        with self._discover_lock:
+            if self._discovered and not force:
+                return
+            self._discovered = True
+            for modname in self.builtin_modules:
+                importlib.import_module(modname)  # decorators self-register
+            if self.entry_point_group:
+                self._load_entry_points(path=path)
 
     def _load_entry_points(self, path: Sequence[str] | None = None) -> None:
         if path is None:

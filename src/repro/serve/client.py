@@ -77,8 +77,11 @@ class ServeClient:
             payload["tenant"] = tenant
         return self._request("POST", "/jobs", payload)["job_id"]
 
-    def status(self, job_id: str) -> dict:
-        return self._request("GET", f"/jobs/{job_id}")
+    def status(self, job_id: str, wait: float | None = None) -> dict:
+        """The job's status; with *wait*, the server first blocks up to
+        *wait* seconds until the job is terminal."""
+        query = "" if wait is None else f"?wait={wait:.3f}"
+        return self._request("GET", f"/jobs/{job_id}{query}")
 
     def list_jobs(self) -> list[dict]:
         return self._request("GET", "/jobs")["jobs"]
@@ -133,15 +136,25 @@ class ServeClient:
         timeout: float = 300.0,
         poll_interval: float = 0.2,
     ) -> dict:
-        """Poll until the job reaches a terminal state; its status."""
+        """Block until the job reaches a terminal state; its status.
+
+        Each round trip is a blocking status read (``?wait=``) of at
+        most half the HTTP timeout, which the server answers as soon as
+        the job finishes.  *poll_interval* is the pause before the next
+        read when a server answers early with a non-terminal state.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            status = self.status(job_id)
+            asked = time.monotonic()
+            block = max(0.0, min(deadline - asked, self.timeout / 2))
+            status = self.status(job_id, wait=block)
             if status["state"] in ("done", "failed", "cancelled"):
                 return status
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise ServeClientError(
                     f"job {job_id} still {status['state']} after "
                     f"{timeout:.0f}s"
                 )
-            time.sleep(poll_interval)
+            if now - asked < block:
+                time.sleep(min(poll_interval, deadline - now))

@@ -8,6 +8,12 @@ lifecycle — all coordination happens through the store's WAL + file
 lock, so a worker surviving its parent, or a parent restarting under
 live workers, is safe by construction.
 
+Each worker gets its own :class:`~repro.serve.doorbell.Doorbell`: the
+fleet keeps the write end and :meth:`ServeFleet.ring` rings them all
+after a submit, while the worker holds both ends (its SIGTERM handler
+rings the pipe it waits on).  Workers also get the write end of
+the service's outcomes doorbell, rung after every job outcome.
+
 Shutdown is graceful by default: SIGTERM lets each worker finish its
 in-flight point, checkpoint, and preempt its job back to ``queued``;
 workers that ignore the signal past the timeout are killed, and their
@@ -22,6 +28,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.serve.doorbell import Doorbell
 from repro.serve.scheduler import SchedulerConfig
 
 
@@ -35,34 +42,35 @@ class ServeFleet:
         config: SchedulerConfig | None = None,
         jobs: int = 1,
         fsync: bool = True,
-        poll_interval: float = 0.05,
+        outcome_fd: int | None = None,
     ) -> None:
         self.root = Path(root)
         self.workers = max(1, int(workers))
         self.config = config or SchedulerConfig()
         self.jobs = jobs
         self.fsync = fsync
-        self.poll_interval = poll_interval
+        self.outcome_fd = outcome_fd
         self.procs: list[subprocess.Popen] = []
+        self.doorbells: list[Doorbell] = []
 
     # ------------------------------------------------------------------
-    def _command(self, index: int) -> list[str]:
+    def _command(self, index: int, fds: tuple[int, int]) -> list[str]:
         # `-c` rather than `-m repro.serve.worker`: the package imports
         # the worker module at init, and runpy warns when asked to
-        # execute an already-imported module.
+        # execute an already-imported module.  The inherited fds go to
+        # main() as arguments, not as command-line flags.
         cmd = [
             sys.executable,
             "-c",
             "import sys; from repro.serve.worker import main; "
-            "sys.exit(main(sys.argv[1:]))",
+            f"sys.exit(main(sys.argv[1:], doorbell_fds={fds}, "
+            f"outcome_fd={self.outcome_fd}))",
             "--dir",
             str(self.root),
             "--worker-id",
             f"w{index}",
             "--jobs",
             str(self.jobs),
-            "--poll-interval",
-            str(self.poll_interval),
             "--config-json",
             self.config.to_json(),
         ]
@@ -88,9 +96,24 @@ class ServeFleet:
     def start(self) -> None:
         env = self._env()
         for index in range(self.workers):
-            self.procs.append(
-                subprocess.Popen(self._command(index), env=env)
+            fds = os.pipe()
+            passed = fds if self.outcome_fd is None else (
+                *fds, self.outcome_fd
             )
+            self.procs.append(
+                subprocess.Popen(
+                    self._command(index, fds), env=env, pass_fds=passed
+                )
+            )
+            # The worker alone reads: once it dies, rings hit a broken
+            # pipe, which Doorbell.ring ignores.
+            os.close(fds[0])
+            self.doorbells.append(Doorbell(write_fd=fds[1]))
+
+    def ring(self) -> None:
+        """Wake every idle worker (after a submit)."""
+        for bell in self.doorbells:
+            bell.ring()
 
     def alive(self) -> int:
         """How many worker processes are currently running."""
@@ -119,6 +142,8 @@ class ServeFleet:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 codes.append(proc.wait(timeout=timeout))
+        for bell in self.doorbells:
+            bell.close()
         return codes
 
     # ------------------------------------------------------------------

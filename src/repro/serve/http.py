@@ -8,6 +8,9 @@ Routes (all JSON unless noted)::
                               -> 400 malformed spec, 429 admission reject
     GET  /jobs                -> {jobs: [summaries]}
     GET  /jobs/<id>           -> full status (state, attempts, checkpoints)
+    GET  /jobs/<id>?wait=S    -> the same, once the job is terminal or
+                              after S seconds (capped), whichever first
+                              -> 400 malformed S
     GET  /jobs/<id>/result    -> 200 result | 409 {state} while pending
     POST /jobs/<id>/cancel    -> {state: cancelled|cancelling|...}
     GET  /healthz             -> {status, uptime_seconds, jobs: {counts}}
@@ -21,12 +24,34 @@ through the service, whose store serializes under its own lock.
 from __future__ import annotations
 
 import json
+import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import AdmissionError, JobSpecError, UnknownJobError
 from repro.serve.service import ReproService
 
 MAX_BODY_BYTES = 4 << 20  # a kernel source plus headroom
+
+
+class _BadRequest(Exception):
+    """A malformed request line argument (HTTP 400)."""
+
+
+def _wait_seconds(query: str) -> float | None:
+    """The ``wait=S`` argument of a query string, or None without one."""
+    values = parse_qs(query, keep_blank_values=True).get("wait")
+    if not values:
+        return None
+    try:
+        seconds = float(values[-1])
+    except ValueError:
+        seconds = math.nan
+    if not 0.0 <= seconds < math.inf:
+        raise _BadRequest(
+            f"wait must be a number of seconds >= 0, not {values[-1]!r}"
+        )
+    return seconds
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -92,6 +117,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
         try:
             self._route_get()
+        except _BadRequest as exc:
+            self._send_json({"error": str(exc)}, status=400)
         except UnknownJobError as exc:
             self._send_json({"error": str(exc)}, status=404)
         except Exception as exc:  # noqa: BLE001 — keep the server alive
@@ -100,7 +127,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _route_get(self) -> None:
-        path = self.path.rstrip("/") or "/"
+        url = urlsplit(self.path)
+        path = url.path.rstrip("/") or "/"
         if path == "/healthz":
             self._send_json(self.service.health())
         elif path == "/metrics":
@@ -119,7 +147,11 @@ class _Handler(BaseHTTPRequestHandler):
                     status=409,
                 )
         elif path.startswith("/jobs/"):
-            self._send_json(self.service.status(path[len("/jobs/"):]))
+            self._send_json(
+                self.service.status(
+                    path[len("/jobs/"):], wait=_wait_seconds(url.query)
+                )
+            )
         else:
             self._send_json({"error": f"no route {path}"}, status=404)
 
@@ -147,7 +179,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _route_post(self) -> None:
-        path = self.path.rstrip("/")
+        path = urlsplit(self.path).path.rstrip("/")
         if path == "/jobs":
             payload = self._read_body()
             priority = int(payload.pop("priority", 0))

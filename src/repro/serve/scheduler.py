@@ -33,12 +33,17 @@ with an injected clock:
   ``base * factor**(attempt-1)``, capped at ``backoff_max`` and
   stretched by a *seeded* multiplicative jitter so the schedule is
   deterministic under test while still de-synchronized in production.
+
+**Locking.**  Every decision runs under the store's ``exclusive()``
+section, the one lock the scheduler takes, so there is no lock order to
+get wrong: an HTTP thread admitting a job and a worker thread claiming
+one in the same process serialize on it, and so do processes of a
+fleet, through its file lock.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 
 from repro.errors import AdmissionError, LeaseLostError
@@ -95,7 +100,6 @@ class Scheduler:
         self.store = store
         self.config = config or SchedulerConfig()
         self._rng = random.Random(self.config.seed)
-        self._lock = threading.Lock()
         self._quotas = dict(self.config.tenant_quotas or ())
         #: tenant -> serve counter at its last dispatch (round-robin)
         self._last_served: dict[str, int] = {}
@@ -115,7 +119,7 @@ class Scheduler:
         tenant: str = "default",
     ) -> Job:
         """Enqueue a validated spec, or reject it with structure."""
-        with self._lock, self.store.exclusive():
+        with self.store.exclusive():
             queued = self.store.jobs(JobState.QUEUED)
             if len(queued) >= self.config.max_queued:
                 raise AdmissionError(
@@ -162,7 +166,7 @@ class Scheduler:
     def next_job(self, now: float) -> Job | None:
         """The job to dispatch now, or None (empty / backoff / caps /
         quota / a running twin we would rather coalesce with)."""
-        with self._lock:
+        with self.store.exclusive():
             return self._pick(now)
 
     def _pick(self, now: float) -> Job | None:

@@ -16,13 +16,20 @@ Two execution modes:
   travels through the store's durable ``cancel_requested`` flag, and
   fleet-wide counters (executions, coalescing hits) are derived from
   store state, since worker-process registries are not visible here.
+
+Both modes hand jobs over by wake-up, not by polling: :meth:`submit`
+rings the workers' doorbells, and the workers ring :attr:`outcomes`
+after every job outcome, which wakes the readers blocked in
+``status(job_id, wait=S)`` (``GET /jobs/<id>?wait=S``).
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 from repro.errors import UnknownJobError
+from repro.serve.doorbell import RECHECK_S, Doorbell
 from repro.serve.fleet import ServeFleet
 from repro.serve.jobs import Job, JobState, validate_spec
 from repro.serve.scheduler import Scheduler, SchedulerConfig
@@ -31,6 +38,8 @@ from repro.serve.worker import ServeWorker
 from repro.trace.metrics import MetricsRegistry
 
 DEFAULT_SERVE_DIR = ".repro_serve"
+#: the longest one ``status(wait=S)`` call blocks, whatever S
+MAX_WAIT_S = 30.0
 
 
 class ReproService:
@@ -54,6 +63,13 @@ class ReproService:
         self.registry = MetricsRegistry()
         self.store = JobStore(root, fsync=fsync, shared=self.workers > 0)
         self.scheduler = Scheduler(self.store, config)
+        #: rung by the workers after every job outcome
+        self.outcomes = Doorbell()
+        #: bumped and notified whenever a job may have changed state
+        self._changed = threading.Condition()
+        self._generation = 0
+        self._closing = False
+        self._listener: threading.Thread | None = None
         if self.workers > 0:
             self.worker = None
             self.fleet: ServeFleet | None = ServeFleet(
@@ -62,6 +78,7 @@ class ReproService:
                 config=self.scheduler.config,
                 jobs=jobs,
                 fsync=fsync,
+                outcome_fd=self.outcomes.write_fd,
             )
         else:
             self.fleet = None
@@ -71,6 +88,7 @@ class ReproService:
                 jobs=jobs,
                 clock=clock,
                 registry=self.registry,
+                outcomes=self.outcomes,
             )
         self.started_at = clock()
         for job_id in self.store.recovered_jobs:
@@ -81,16 +99,37 @@ class ReproService:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
+        self._listener = threading.Thread(
+            target=self._listen, name="repro-serve-outcomes", daemon=True
+        )
+        self._listener.start()
         if self.fleet is not None:
             self.fleet.start()
         else:
             self.worker.start()
 
+    def _listen(self) -> None:
+        """Turn outcome rings into wake-ups of blocked status reads."""
+        while not self._closing:
+            self.outcomes.wait(None)
+            self._notify()
+
+    def _notify(self) -> None:
+        with self._changed:
+            self._generation += 1
+            self._changed.notify_all()
+
     def shutdown(self, wait: bool = True) -> None:
+        # Blocked and later status(wait=) reads answer at once.
+        self._closing = True
+        self._notify()
         if self.fleet is not None:
             self.fleet.stop()
         elif self.worker is not None:
             self.worker.stop(wait=wait)
+        if self._listener is not None:
+            self.outcomes.ring()
+            self._listener.join()
         if self.record_path:
             self.record_session(self.record_path)
         self.store.compact()
@@ -148,10 +187,31 @@ class ReproService:
         self.registry.add(
             "serve.jobs.submitted", 1.0, kind=spec["kind"]
         )
+        if self.fleet is not None:
+            self.fleet.ring()
+        else:
+            self.worker.doorbell.ring()
         return job
 
-    def status(self, job_id: str) -> dict:
-        job = self.store.get(job_id)
+    def status(self, job_id: str, wait: float | None = None) -> dict:
+        """The job's status.  With *wait*, first block up to that many
+        seconds (at most :data:`MAX_WAIT_S`) until the job is terminal.
+
+        Outcome rings wake the wait at once; it re-reads the store every
+        :data:`~repro.serve.doorbell.RECHECK_S` anyway, for outcomes
+        written by anyone who does not ring.
+        """
+        deadline = time.monotonic() + min(wait or 0.0, MAX_WAIT_S)
+        while True:
+            with self._changed:
+                seen = self._generation
+            job = self.store.get(job_id)
+            remaining = deadline - time.monotonic()
+            if job.state.terminal or remaining <= 0 or self._closing:
+                break
+            with self._changed:
+                if self._generation == seen and not self._closing:
+                    self._changed.wait(min(remaining, RECHECK_S))
         out = job.summary()
         out["not_before"] = job.not_before
         out["started_at"] = job.started_at
@@ -173,6 +233,7 @@ class ReproService:
             self.registry.add("serve.jobs.finished", 1.0,
                               outcome="cancelled",
                               kind=job.spec.get("kind", "?"))
+            self._notify()
             return {"job_id": job_id, "state": job.state.value}
         if job.state is JobState.RUNNING:
             if self.fleet is not None:

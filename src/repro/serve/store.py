@@ -549,10 +549,13 @@ class JobStore:
         """All jobs (optionally filtered by state), in submission order."""
         with self._lock:
             self._sync_view()
-            out = sorted(self._jobs.values(), key=lambda j: j.seq)
+            out = self._jobs.values()
             if states:
+                # Filter before sorting: the store keeps every finished
+                # job, and the scheduler asks for the few queued or
+                # running ones several times per claim, under the lock.
                 out = [j for j in out if j.state in states]
-            return out
+            return sorted(out, key=lambda j: j.seq)
 
     def counts(self) -> dict[str, int]:
         with self._lock:

@@ -28,6 +28,12 @@ Three pieces:
   --dir ROOT --worker-id wN`` opens the store in shared mode and drains
   it until SIGTERM/SIGINT, which stop gracefully (finish the in-flight
   point, checkpoint, preempt, exit 0).
+
+An idle worker does not poll: it waits on its :class:`~repro.serve.
+doorbell.Doorbell`, which the service rings after every admitted
+submit, for at most :data:`RECHECK_S` or until the next retry deadline.
+After every job outcome the worker rings its *outcomes* doorbell, which
+wakes the service's blocked ``GET /jobs/<id>?wait=S`` readers.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.exec.pool import PointExecutor
+from repro.serve.doorbell import RECHECK_S, Doorbell
 from repro.serve.jobs import (
     Job,
     checkpoint_key,
@@ -60,6 +67,23 @@ class WorkerStopped(Exception):
     """Internal control flow: the stop event fired between points."""
 
 
+class StopFlag:
+    """The worker's stop request.  Unlike ``threading.Event.set``,
+    :meth:`set` takes no lock, so a signal handler may call it; it also
+    rings the doorbell, so an idle worker stops at once."""
+
+    def __init__(self, doorbell: Doorbell) -> None:
+        self._set = False
+        self._doorbell = doorbell
+
+    def set(self) -> None:
+        self._set = True
+        self._doorbell.ring()
+
+    def is_set(self) -> bool:
+        return self._set
+
+
 class CheckpointingExecutor(PointExecutor):
     """A point executor that makes campaign progress durable."""
 
@@ -68,7 +92,7 @@ class CheckpointingExecutor(PointExecutor):
         store: JobStore,
         job: Job,
         jobs: int = 1,
-        stop_event: threading.Event | None = None,
+        stop_event: StopFlag | threading.Event | None = None,
         cancel_event: threading.Event | None = None,
         deadline: float | None = None,
         clock=time.time,
@@ -162,6 +186,8 @@ class ServeWorker:
 
     With a *worker_id* the loop claims jobs under a lease (fleet mode);
     without one it behaves as the original single-worker service.
+    *doorbell* wakes the idle loop (a private one by default);
+    *outcomes*, when given, is rung after every job outcome.
     """
 
     def __init__(
@@ -170,18 +196,20 @@ class ServeWorker:
         scheduler: Scheduler,
         jobs: int = 1,
         clock=time.time,
-        poll_interval: float = 0.05,
         registry=None,
         worker_id: str | None = None,
+        doorbell: Doorbell | None = None,
+        outcomes: Doorbell | None = None,
     ) -> None:
         self.store = store
         self.scheduler = scheduler
         self.jobs = jobs
         self.clock = clock
-        self.poll_interval = poll_interval
         self.registry = registry
         self.worker_id = worker_id
-        self.stop_event = threading.Event()
+        self.doorbell = doorbell or Doorbell()
+        self.outcomes = outcomes
+        self.stop_event = StopFlag(self.doorbell)
         self.cancel_events: dict[str, threading.Event] = {}
         self._thread: threading.Thread | None = None
 
@@ -213,19 +241,26 @@ class ServeWorker:
     def run_forever(self) -> None:
         while not self.stop_event.is_set():
             if not self.run_once():
-                now = self.clock()
-                wake = self.scheduler.next_wakeup(now)
-                timeout = self.poll_interval
-                if wake is not None:
-                    timeout = min(timeout, max(0.0, wake - now))
-                self.stop_event.wait(timeout or self.poll_interval)
+                self.doorbell.wait(self._idle_timeout())
+
+    def _idle_timeout(self) -> float:
+        """Until the next retry deadline, at most :data:`RECHECK_S`."""
+        now = self.clock()
+        wake = self.scheduler.next_wakeup(now)
+        if wake is None:
+            return RECHECK_S
+        return min(RECHECK_S, max(0.0, wake - now))
 
     def run_once(self) -> bool:
         """Claim and run at most one job; True when one was run."""
         job = self.scheduler.claim_next(self.clock(), worker=self.worker_id)
         if job is None:
             return False
-        self.run_job(job)
+        try:
+            self.run_job(job)
+        finally:
+            if self.outcomes is not None:
+                self.outcomes.ring()
         return True
 
     # ------------------------------------------------------------------
@@ -369,8 +404,18 @@ class ServeWorker:
 # ----------------------------------------------------------------------
 # Fleet subprocess entry point
 # ----------------------------------------------------------------------
-def main(argv=None) -> int:
-    """``python -m repro.serve.worker``: one fleet worker process."""
+def main(
+    argv=None,
+    doorbell_fds: tuple[int, int] | None = None,
+    outcome_fd: int | None = None,
+) -> int:
+    """``python -m repro.serve.worker``: one fleet worker process.
+
+    :class:`~repro.serve.fleet.ServeFleet` hands over the read and write
+    ends of this worker's doorbell as *doorbell_fds* and the write end
+    of the service's outcomes doorbell as *outcome_fd*; run by hand, the
+    worker waits on a private doorbell and rings no outcomes.
+    """
     import argparse
     import os
     import signal
@@ -390,7 +435,6 @@ def main(argv=None) -> int:
         "--jobs", type=int, default=1,
         help="point-level parallelism within this worker",
     )
-    parser.add_argument("--poll-interval", type=float, default=0.05)
     parser.add_argument(
         "--config-json", default=None,
         help="SchedulerConfig as JSON (from SchedulerConfig.to_json)",
@@ -409,12 +453,13 @@ def main(argv=None) -> int:
         store,
         scheduler,
         jobs=args.jobs,
-        poll_interval=args.poll_interval,
         worker_id=args.worker_id or f"w{os.getpid()}",
+        doorbell=None if doorbell_fds is None else Doorbell(*doorbell_fds),
+        outcomes=None if outcome_fd is None else Doorbell(write_fd=outcome_fd),
     )
 
     def _graceful(signum, frame):  # noqa: ARG001 — signal API
-        worker.stop_event.set()
+        worker.stop_event.set()  # lock-free, and wakes an idle wait
 
     signal.signal(signal.SIGTERM, _graceful)
     signal.signal(signal.SIGINT, _graceful)

@@ -300,6 +300,38 @@ class TestFileLock:
         with pytest.raises(TimeoutError):
             lock.acquire()
 
+    def test_waiter_acquires_within_a_few_ms_of_release(self, tmp_path):
+        """A waiter backs off from sub-millisecond pauses, so a lock held
+        for 2 ms changes hands about as soon as it is released, not a
+        whole 10 ms poll interval later."""
+        import statistics
+        import threading
+        import time
+
+        from repro.exec.cache import FileLock
+
+        path = tmp_path / "store.lock"
+        gaps = []
+        for _ in range(9):
+            holder = FileLock(path)
+            holder.acquire()
+            acquired = []
+
+            def wait_for_lock():
+                waiter = FileLock(path)
+                waiter.acquire()
+                acquired.append(time.perf_counter())
+                waiter.release()
+
+            thread = threading.Thread(target=wait_for_lock)
+            thread.start()
+            time.sleep(0.002)
+            released = time.perf_counter()
+            holder.release()
+            thread.join(timeout=10)
+            gaps.append(acquired[0] - released)
+        assert statistics.median(gaps) < 0.005, gaps
+
 
 MUTEX_CHILD = """
 import sys, time

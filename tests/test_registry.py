@@ -161,6 +161,41 @@ class TestEntryPointDiscovery:
         assert reg.names().count("plus") == 1
 
 
+class TestConcurrentDiscovery:
+    def test_first_lookups_from_many_threads_wait_for_discovery(
+        self, tmp_path, monkeypatch
+    ):
+        """A lookup racing the first one waits for its discovery to
+        finish instead of reading a half-filled registry (a fresh
+        server taking several submissions at once)."""
+        import sys
+        import threading
+        import types
+
+        reg = Registry("thing", builtin_modules=("slow_things",))
+        monkeypatch.setitem(
+            sys.modules, "slow_things_home", types.SimpleNamespace(reg=reg)
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        (tmp_path / "slow_things.py").write_text(
+            "import time\n"
+            "from slow_things_home import reg\n"
+            "time.sleep(0.2)\n"
+            "reg.register('late', int)\n"
+        )
+        monkeypatch.delitem(sys.modules, "slow_things", raising=False)
+        found: list[bool] = []
+        threads = [
+            threading.Thread(target=lambda: found.append("late" in reg))
+            for _ in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert found == [True] * 4
+
+
 class TestBuiltinRegistries:
     def test_workload_listing(self):
         names = WORKLOADS.names()

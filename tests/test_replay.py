@@ -214,10 +214,13 @@ class TestRecordStore:
     def test_store_snapshot_matches_local_execution(self, tmp_path):
         from tests.test_serve_http import start_stack, stop_stack
 
-        service, httpd, client = start_stack(tmp_path)
+        # Submit before the worker starts: a woken worker finishes a
+        # cheap leader before its twin arrives, and nothing coalesces.
+        service, httpd, client = start_stack(tmp_path, worker=False)
         try:
             for spec in CHEAP_SPECS:
                 client.submit(spec)
+            service.start()
             for job in service.store.jobs():
                 client.wait(job.job_id, timeout=300)
             session = record_store(

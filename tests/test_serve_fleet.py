@@ -493,3 +493,55 @@ class TestFleetProcesses:
             service.store.compact()
             service.store.close()
         assert codes == [0, 0], f"workers exited dirty: {codes}"
+
+    def test_idle_worker_starts_submitted_job_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        """The submit rings the worker's doorbell: an idle worker starts
+        the job within milliseconds, not on its next recheck.  Its
+        outcome ring answers the blocked status read just as fast."""
+        import statistics
+
+        from repro.serve import service as service_mod
+
+        monkeypatch.setattr(service_mod, "RECHECK_S", 30.0)
+        service = ReproService(
+            root=str(tmp_path / "serve"),
+            config=SchedulerConfig(lease_duration=60.0),
+            jobs=1,
+            fsync=False,
+            workers=1,
+        )
+        service.start()
+        try:
+            gaps = []
+            for i in range(11):
+                spec = dict(SPEC, scale=0.04 + 0.001 * i)
+                job_id = service.submit(spec).job_id
+                status = service.status(job_id, wait=60.0)
+                assert status["state"] == "done", status
+                assert time.time() - status["finished_at"] < 1.0
+                if i:  # the first job also waited for the worker to boot
+                    gaps.append(status["started_at"] - status["submitted_at"])
+                # Let the worker go idle, at a different phase each time.
+                time.sleep(0.06 + 0.013 * i)
+        finally:
+            service.shutdown()
+        assert statistics.median(gaps) < 0.012, gaps
+
+    def test_killed_worker_does_not_fail_submit(self, tmp_path):
+        """Ringing a dead worker's doorbell hits a broken pipe, which a
+        submit ignores."""
+        service = ReproService(
+            root=str(tmp_path / "serve"), fsync=False, workers=1
+        )
+        service.start()
+        try:
+            assert service.fleet.kill_one(0) is not None
+            ids = [
+                service.submit(dict(SPEC, scale=0.04 + 0.001 * i)).job_id
+                for i in range(3)
+            ]
+            assert [service.status(j)["state"] for j in ids] == ["queued"] * 3
+        finally:
+            service.shutdown()

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
+from repro.serve import service as service_mod
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.http import make_server
 from repro.serve.scheduler import SchedulerConfig
@@ -221,3 +223,84 @@ class TestPersistence:
             assert client2.result(job_id)["figure"] == "fig14"
         finally:
             stop_stack(service2, httpd2)
+
+
+class TestBlockingStatus:
+    """``GET /jobs/<id>?wait=S``: answered when the job is terminal."""
+
+    def test_wait_returns_as_soon_as_job_finishes(self, stack, monkeypatch):
+        service, client = stack
+        # Only the worker's outcome ring can answer within the wait.
+        monkeypatch.setattr(service_mod, "RECHECK_S", 30.0)
+        warm = client.submit(KERNEL_SPEC)  # imports, compiles
+        assert client.status(warm, wait=120.0)["state"] == "done"
+        job_id = client.submit(dict(KERNEL_SPEC, iterations=2))
+        t0 = time.monotonic()
+        status = client.status(job_id, wait=20.0)
+        elapsed = time.monotonic() - t0
+        assert status["state"] == "done"
+        # The answer follows the outcome, not the end of the wait.
+        assert elapsed < 10.0
+        assert time.time() - status["finished_at"] < 1.0
+
+    def test_wait_without_worker_returns_status_after_s(self, tmp_path):
+        service, httpd, client = start_stack(tmp_path, worker=False)
+        try:
+            job_id = client.submit(SPEC)
+            t0 = time.monotonic()
+            status = client.status(job_id, wait=0.3)
+            elapsed = time.monotonic() - t0
+            assert status["state"] == "queued"
+            assert 0.25 <= elapsed < 2.0
+        finally:
+            stop_stack(service, httpd)
+
+    def test_cancel_wakes_a_waiting_reader(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_mod, "RECHECK_S", 30.0)
+        service, httpd, client = start_stack(tmp_path, worker=False)
+        try:
+            job_id = client.submit(SPEC)
+            threading.Timer(0.2, client.cancel, args=(job_id,)).start()
+            t0 = time.monotonic()
+            status = client.status(job_id, wait=20.0)
+            assert status["state"] == "cancelled"
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            stop_stack(service, httpd)
+
+    def test_malformed_wait_is_400(self, tmp_path):
+        service, httpd, client = start_stack(tmp_path, worker=False)
+        try:
+            job_id = client.submit(SPEC)
+            for value in ("abc", "-1", "nan", "inf", ""):
+                with pytest.raises(ServeClientError) as exc:
+                    client._request("GET", f"/jobs/{job_id}?wait={value}")
+                assert exc.value.status == 400, value
+        finally:
+            stop_stack(service, httpd)
+
+    def test_unknown_query_arguments_are_ignored(self, tmp_path):
+        service, httpd, client = start_stack(tmp_path, worker=False)
+        try:
+            job_id = client.submit(SPEC)
+            status = client._request("GET", f"/jobs/{job_id}?x=1")
+            assert status["job_id"] == job_id
+            assert client._request("GET", "/healthz?verbose")["status"] == "ok"
+        finally:
+            stop_stack(service, httpd)
+
+    def test_shutdown_releases_a_waiting_reader(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_mod, "RECHECK_S", 30.0)
+        service, httpd, client = start_stack(tmp_path, worker=False)
+        job_id = client.submit(SPEC)
+        answers = []
+        reader = threading.Thread(
+            target=lambda: answers.append(client.status(job_id, wait=25.0))
+        )
+        reader.start()
+        time.sleep(0.2)
+        t0 = time.monotonic()
+        stop_stack(service, httpd)
+        reader.join(timeout=30)
+        assert time.monotonic() - t0 < 5.0
+        assert answers and answers[0]["state"] == "queued"

@@ -403,3 +403,122 @@ class TestCrashResume:
         wal_text = (root / "wal.jsonl").read_text()
         assert "lease expired (worker wA" in wal_text
         parent.close()
+
+
+CHEAP_SPEC = {"kind": "workload", "workload": "stencil1d",
+              "paradigm": "inf-s", "scale": 0.05, "system": "small-test"}
+#: fails at parse time, so a worker turns it over in a millisecond
+BAD_KERNEL_SPEC = {
+    "kind": "kernel",
+    "name": "bad",
+    "source": "this is not a kernel\n",
+    "arrays": {"X": ["N"]},
+    "params": {"N": 64},
+    "paradigm": "inf-s",
+}
+
+
+def _wait_terminal(store, job_id, timeout):
+    deadline = time.monotonic() + timeout
+    while not store.get(job_id).state.terminal:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+class TestWakeUps:
+    """An idle worker sleeps on its doorbell, not on a poll interval."""
+
+    def test_submit_wakes_idle_in_process_worker(self, tmp_path, monkeypatch):
+        from repro.serve.service import ReproService
+
+        # Without the doorbell the job would wait for this recheck.
+        monkeypatch.setattr(worker_mod, "RECHECK_S", 30.0)
+        service = ReproService(root=tmp_path / "serve", fsync=False)
+        service.start()
+        try:
+            time.sleep(0.2)  # the worker has found nothing and waits
+            job_id = service.submit(CHEAP_SPEC).job_id
+            assert _wait_terminal(service.store, job_id, timeout=5.0)
+            assert service.store.get(job_id).state is JobState.DONE
+        finally:
+            t0 = time.monotonic()
+            service.shutdown()
+        assert time.monotonic() - t0 < 5.0, "stop did not wake the worker"
+
+    def test_concurrent_submitters_with_running_worker(self, tmp_path):
+        """Admission and claims take one lock, in one order: four
+        threads submitting while the in-process worker claims right
+        after every submit all finish, and shutdown returns."""
+        from repro.serve.service import ReproService
+
+        service = ReproService(
+            root=tmp_path / "serve",
+            config=SchedulerConfig(max_queued=1000),
+            fsync=False,
+        )
+        service.start()
+        errors: list[BaseException] = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleavings per submit
+
+        def submit_many():
+            try:
+                for _ in range(50):
+                    service.submit(dict(BAD_KERNEL_SPEC), max_attempts=1)
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=submit_many, daemon=True)
+            for _ in range(4)
+        ]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads), "submitters hung"
+        assert not errors, errors
+        assert len(service.store.jobs()) == 200
+        stopper = threading.Thread(target=service.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=60)
+        assert not stopper.is_alive(), "shutdown hung"
+
+    def test_sigterm_stops_idle_worker_process(self, tmp_path):
+        """SIGTERM rings the doorbell from the handler: an idle worker
+        process exits at once, although its recheck is 30 s."""
+        root = tmp_path / "serve"
+        store = JobStore(root, fsync=False, shared=True)
+        job_id = Scheduler(store, SchedulerConfig()).admit(CHEAP_SPEC).job_id
+        child_src = (
+            "import sys\n"
+            "from repro.serve import worker\n"
+            "worker.RECHECK_S = 30.0\n"
+            "sys.exit(worker.main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child_src, "--dir", str(root),
+             "--no-fsync"],
+            env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        try:
+            # The worker claims the job at start-up, then goes idle.
+            assert _wait_terminal(store, job_id, timeout=60.0)
+            time.sleep(0.2)
+            t0 = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+            assert time.monotonic() - t0 < 1.0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            store.close()
