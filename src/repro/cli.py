@@ -8,7 +8,7 @@ Commands
 ``simulate``  estimate cycles/traffic/energy under one configuration;
 ``offload``   evaluate the Eq. 2 in-/near-memory decision;
 ``replay-artifact``  re-run pipeline stages from a ``--dump-dir``
-              artifact dump (``replay`` is a deprecated alias);
+              artifact dump;
 ``figures``   regenerate the paper's evaluation tables (run_all);
 ``list``      list registered workloads/paradigms/systems/figures
               (decorated built-ins plus entry-point plugins);
@@ -346,18 +346,10 @@ two replay verbs exist:
                     digests and reports the first divergent job; with
                     --traffic it time-compresses and amplifies the
                     recording into synthetic load against a live server.
-'replay' is a deprecated alias for replay-artifact and will be removed.
 """
 
 
 def cmd_replay_artifact(args) -> int:
-    if args.command == "replay":
-        print(
-            "warning: 'repro replay' is deprecated; "
-            "use 'repro replay-artifact' (artifact dumps) or "
-            "'repro replay-session' (recorded sessions)",
-            file=sys.stderr,
-        )
     from repro.pipeline.artifacts import (
         FatBinaryArtifact,
         LoweredArtifact,
@@ -593,7 +585,7 @@ def cmd_record(args) -> int:
             raise UsageError("give either --figure or --from-store, not both")
         from repro.serve.store import JobStore
 
-        store = JobStore(args.from_store, fsync=False, shared=True)
+        store = JobStore(args.from_store, fsync=False)
         try:
             from repro.replay import record_store
 
@@ -828,7 +820,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "replay-artifact",
-        aliases=["replay"],
         help="re-run pipeline stages from a --dump-dir",
         epilog=REPLAY_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -899,10 +890,13 @@ def main(argv: list[str] | None = None) -> int:
                    help="worker processes per campaign job")
     p.add_argument("--workers", type=int, default=0,
                    help="fleet mode: N worker subprocesses draining the "
-                        "shared store under lease-based claims "
-                        "(0 = one in-process worker thread)")
+                        "store (0 = one in-process worker thread); "
+                        "every worker claims jobs under a lease")
     p.add_argument("--lease-duration", type=float, default=30.0,
-                   help="fleet claim validity without a heartbeat (s)")
+                   help="claim validity without a heartbeat (s), for "
+                        "the in-process worker too: after a crash, a "
+                        "restarted server resumes the interrupted job "
+                        "once its lease lapses")
     p.add_argument("--tenant-quota", type=int, default=None,
                    help="max concurrently running jobs per tenant")
     p.add_argument("--max-queued", type=int, default=64,

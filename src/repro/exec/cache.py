@@ -57,13 +57,16 @@ LOCK_FIRST_BACKOFF_S = 0.0005
 class FileLock:
     """A lockfile-based mutex shared by every process using one cache dir.
 
-    Acquisition creates ``path`` with ``O_CREAT | O_EXCL`` (atomic on
-    POSIX and NT, local and NFSv3+ filesystems alike) and writes a
-    ``pid:token`` claim line identifying the holder.  A lockfile whose
-    holder process is gone — or, for unparseable/legacy content, one
-    older than ``stale_after`` seconds — is presumed abandoned by a
-    killed writer and is broken.  Acquisition failure after ``timeout``
-    raises :class:`TimeoutError` rather than deadlocking the campaign.
+    Acquisition publishes a ``pid:token`` claim identifying the holder
+    atomically: the claim is written to a private ``*.tmp`` file, which
+    is then hard-linked to ``path`` (``os.link`` fails with ``EEXIST``
+    while the lock is held) and unlinked.  So the lockfile never exists
+    without its claim, and a holder killed at any instant leaves either
+    no lockfile or one naming its pid.  A lockfile whose holder process
+    is gone — or, for unparseable/legacy content, one older than
+    ``stale_after`` seconds — is presumed abandoned by a killed writer
+    and is broken.  Acquisition failure after ``timeout`` raises
+    :class:`TimeoutError` rather than deadlocking the campaign.
 
     Stale-break is made race-free in three steps: (1) breaking requires
     its own ``<path>.breaker`` mutex, so at most one process is ever in
@@ -99,25 +102,39 @@ class FileLock:
         backoff = min(LOCK_FIRST_BACKOFF_S, self.poll_interval)
         while True:
             token = f"{os.getpid()}:{os.urandom(8).hex()}"
-            try:
-                fd = os.open(
-                    self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
+            if self._publish(token):
+                self._held = True
+                self._token = token
+                return
+            self._break_if_stale()
+            if time.monotonic() >= deadline:
+                raise TimeoutError(
+                    f"could not acquire {self.path} within "
+                    f"{self.timeout:.1f}s"
                 )
-            except FileExistsError:
-                self._break_if_stale()
-                if time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"could not acquire {self.path} within "
-                        f"{self.timeout:.1f}s"
-                    ) from None
-                time.sleep(backoff)
-                backoff = min(2 * backoff, self.poll_interval)
-                continue
-            with os.fdopen(fd, "w") as fh:
-                fh.write(token)
-            self._held = True
-            self._token = token
-            return
+            time.sleep(backoff)
+            backoff = min(2 * backoff, self.poll_interval)
+
+    def _publish(self, token: str) -> bool:
+        """Create the lockfile already holding *token*; False if held.
+
+        A process killed after creating its private ``*.tmp`` claim
+        file and before unlinking it leaves that file behind, which
+        nothing reads.
+        """
+        claim = f"{self.path}.{token.replace(':', '-')}.tmp"
+        fd = os.open(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+        try:
+            try:
+                os.write(fd, token.encode())
+            finally:
+                os.close(fd)
+            os.link(claim, self.path)
+        except FileExistsError:
+            return False
+        finally:
+            os.unlink(claim)
+        return True
 
     def release(self) -> None:
         if self._held:

@@ -153,7 +153,7 @@ def record_store(store, seeds=None, meta=None) -> Session:
 
     Only jobs that reached a terminal state are recorded — a queued or
     running job has no completion to replay against.  Works on a live
-    store (shared mode keeps the view synced) and on a post-mortem
+    store (every read catches up with the WAL) and on a post-mortem
     store directory alike.
     """
     from repro.serve.jobs import JobState

@@ -1,8 +1,8 @@
 """Fleet management: N worker subprocesses over one shared store.
 
 :class:`ServeFleet` spawns ``python -m repro.serve.worker`` processes,
-each of which opens the store root in shared mode and claims jobs under
-a lease (see :mod:`repro.serve.scheduler`).  The fleet owner (usually
+each of which opens the store root and claims jobs under a lease (see
+:mod:`repro.serve.scheduler`).  The fleet owner (usually
 :class:`~repro.serve.service.ReproService`) only manages process
 lifecycle — all coordination happens through the store's WAL + file
 lock, so a worker surviving its parent, or a parent restarting under

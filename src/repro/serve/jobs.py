@@ -90,9 +90,10 @@ class Job:
     tenant: str = "default"
     #: content fingerprint of the normalized spec (coalescing key)
     fingerprint: str = ""
-    #: claiming worker id while running (fleet mode), else None
+    #: claiming worker id while running, else None
     worker: str | None = None
-    #: lease expiry (store clock); 0.0 = unleased (in-process worker)
+    #: lease expiry (store clock); 0.0 = unleased, which a claim
+    #: treats as lapsed
     lease_until: float = 0.0
     #: durable cross-process cancellation flag (set via the store)
     cancel_requested: bool = False

@@ -22,12 +22,12 @@ with an injected clock:
   fingerprint) dedupe at *execution* time: while one is running, its
   twins stay queued, and :meth:`complete` fans the leader's result out
   to every queued duplicate without running it again;
-* **leases** — in fleet mode a claim (:meth:`claim_next`) stamps the
-  job with the worker id and a lease expiry; :meth:`heartbeat` renews
-  it between points and :meth:`reclaim_expired` re-queues jobs whose
-  worker stopped renewing (SIGKILL, power loss).  A worker whose lease
-  was re-claimed gets :class:`~repro.errors.LeaseLostError` and must
-  abandon the job;
+* **leases** — every claim (:meth:`claim_next`) stamps the job with
+  the worker id and a lease expiry; :meth:`heartbeat` renews it between
+  points and :meth:`reclaim_expired` re-queues jobs whose worker stopped
+  renewing (SIGKILL, power loss).  Every later edge of the attempt names
+  the same worker: one whose lease was re-claimed gets
+  :class:`~repro.errors.LeaseLostError` and must abandon the job;
 * **retries** — a transiently failed attempt (``PointExecutionError``,
   per-job timeout) is re-queued with exponential backoff
   ``base * factor**(attempt-1)``, capped at ``backoff_max`` and
@@ -37,8 +37,8 @@ with an injected clock:
 **Locking.**  Every decision runs under the store's ``exclusive()``
 section, the one lock the scheduler takes, so there is no lock order to
 get wrong: an HTTP thread admitting a job and a worker thread claiming
-one in the same process serialize on it, and so do processes of a
-fleet, through its file lock.
+one in the same process serialize on it, and so do processes sharing
+the store, through its file lock.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class SchedulerConfig:
     backoff_jitter: float = 0.5  # max extra fraction of the raw delay
     seed: int = 0
     job_timeout: float | None = None  # per-attempt wall-clock budget
-    # ---- fleet mode -------------------------------------------------
+    # ---- leases -----------------------------------------------------
     lease_duration: float = 30.0  # claim validity without a heartbeat
     lease_renew_margin: float = 15.0  # renew when this close to expiry
     # ---- fairness / quotas ------------------------------------------
@@ -211,9 +211,9 @@ class Scheduler:
         return min(pending) if pending else None
 
     # ------------------------------------------------------------------
-    # Fleet claims (lease-based, cross-process safe)
+    # Claims (lease-based, cross-process safe)
     # ------------------------------------------------------------------
-    def claim_next(self, now: float, worker: str | None = None) -> Job | None:
+    def claim_next(self, now: float, worker: str) -> Job | None:
         """Atomically pick and start the next job.
 
         Under the store's cross-process mutex: expired leases are
@@ -234,11 +234,12 @@ class Scheduler:
         """Re-queue running jobs whose lease lapsed (their worker died
         without a graceful preempt).  Checkpoints are retained; the
         attempt is not refunded — a crashing spec eventually exhausts
-        ``max_attempts`` instead of looping forever."""
+        ``max_attempts`` instead of looping forever.  A running job with
+        no lease at all (``lease_until`` 0) counts as lapsed."""
         reclaimed = []
         with self.store.exclusive():
             for job in self.store.jobs(JobState.RUNNING):
-                if job.lease_until and job.lease_until <= now:
+                if job.lease_until <= now:
                     reclaimed.append(
                         self.store.transition(
                             job.job_id,
@@ -268,33 +269,24 @@ class Scheduler:
         longer running under *worker* — the caller must abandon it.
         """
         with self.store.exclusive():
-            cur = self.store.get(job.job_id)
-            if cur.state is not JobState.RUNNING or cur.worker != worker:
-                raise LeaseLostError(
-                    job.job_id, worker, cur.worker, cur.state.value
-                )
+            cur = self._check_owner(job.job_id, worker)
             cfg = self.config
-            if cur.lease_until and (
-                cur.lease_until - now <= cfg.lease_renew_margin
-            ):
+            if cur.lease_until - now <= cfg.lease_renew_margin:
                 cur = self.store.heartbeat(
                     job.job_id, worker, now + cfg.lease_duration
                 )
             return cur
 
-    def _check_owner(self, job_id: str, worker: str | None) -> Job:
+    def _check_owner(self, job_id: str, worker: str) -> Job:
         cur = self.store.get(job_id)
-        if worker is not None and (
-            cur.state is not JobState.RUNNING or cur.worker != worker
-        ):
+        if cur.state is not JobState.RUNNING or cur.worker != worker:
             raise LeaseLostError(job_id, worker, cur.worker, cur.state.value)
         return cur
 
     # ------------------------------------------------------------------
     # Lifecycle edges (each delegates durability to the store)
     # ------------------------------------------------------------------
-    def start(self, job: Job, now: float, worker: str | None = None) -> Job:
-        lease = now + self.config.lease_duration if worker else 0.0
+    def start(self, job: Job, now: float, worker: str) -> Job:
         self._served += 1
         self._last_served[job.tenant] = self._served
         return self.store.transition(
@@ -303,12 +295,10 @@ class Scheduler:
             attempts=job.attempts + 1,
             now=now,
             worker=worker,
-            lease_until=lease,
+            lease_until=now + self.config.lease_duration,
         )
 
-    def complete(
-        self, job: Job, result: dict, now: float, worker: str | None = None
-    ) -> Job:
+    def complete(self, job: Job, result: dict, now: float, worker: str) -> Job:
         """Publish the result, mark done, and fan out to queued twins."""
         self.last_coalesced = []
         with self.store.exclusive():
@@ -333,7 +323,7 @@ class Scheduler:
         error: str,
         now: float,
         transient: bool,
-        worker: str | None = None,
+        worker: str,
     ) -> Job:
         """Terminal failure, or a backoff-delayed retry when *transient*
         and attempts remain."""
@@ -352,7 +342,7 @@ class Scheduler:
                 job.job_id, JobState.FAILED, error=error, now=now
             )
 
-    def preempt(self, job: Job, now: float, worker: str | None = None) -> Job:
+    def preempt(self, job: Job, now: float, worker: str) -> Job:
         """Graceful-shutdown path: back to queued, attempt not counted."""
         with self.store.exclusive():
             self._check_owner(job.job_id, worker)

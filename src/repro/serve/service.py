@@ -6,16 +6,18 @@ CLI talk to.  It owns a :class:`~repro.trace.metrics.MetricsRegistry`
 ``/metrics`` renders with :func:`repro.trace.metrics_report` — so
 ``serve.*`` counters read exactly like ``engine.*`` ones.
 
-Two execution modes:
+The two modes differ only in where the worker runs:
 
-* ``workers=0`` (default) — the original single in-process worker
-  thread; the store is private to this process.
-* ``workers=N`` (N >= 1) — fleet mode: the store opens *shared* (file
-  lock + WAL tail-following) and N ``repro.serve.worker`` subprocesses
-  drain it under lease-based claims.  Cancellation of a running job
-  travels through the store's durable ``cancel_requested`` flag, and
-  fleet-wide counters (executions, coalescing hits) are derived from
-  store state, since worker-process registries are not visible here.
+* ``workers=0`` (default) — one worker on a thread of this process;
+* ``workers=N`` (N >= 1) — fleet mode: N ``repro.serve.worker``
+  subprocesses.  Fleet-wide counters (executions, coalescing hits) are
+  derived from store state, since worker-process registries are not
+  visible here.
+
+Either way the store is opened with its file lock and WAL
+tail-following, every claim holds a lease, and cancelling a running
+job sets the store's durable ``cancel_requested`` flag, which the
+claiming worker reads between points.
 
 Both modes hand jobs over by wake-up, not by polling: :meth:`submit`
 rings the workers' doorbells, and the workers ring :attr:`outcomes`
@@ -61,7 +63,7 @@ class ReproService:
         #: terminal job to this path (``repro serve --record FILE``)
         self.record_path = record_path
         self.registry = MetricsRegistry()
-        self.store = JobStore(root, fsync=fsync, shared=self.workers > 0)
+        self.store = JobStore(root, fsync=fsync)
         self.scheduler = Scheduler(self.store, config)
         #: rung by the workers after every job outcome
         self.outcomes = Doorbell()
@@ -91,9 +93,6 @@ class ReproService:
                 outcomes=self.outcomes,
             )
         self.started_at = clock()
-        for job_id in self.store.recovered_jobs:
-            self.registry.add("serve.jobs.recovered", 1.0)
-            del job_id
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -236,12 +235,8 @@ class ReproService:
             self._notify()
             return {"job_id": job_id, "state": job.state.value}
         if job.state is JobState.RUNNING:
-            if self.fleet is not None:
-                # Cross-process: the claiming worker polls the durable
-                # flag between points.
-                self.store.request_cancel(job_id)
-            else:
-                self.worker.request_cancel(job_id)
+            # The claiming worker reads the durable flag between points.
+            self.store.request_cancel(job_id)
             return {"job_id": job_id, "state": "cancelling"}
         if job.state.terminal:
             return {"job_id": job_id, "state": job.state.value}

@@ -5,8 +5,8 @@ Layout under the store root (default ``.repro_serve/``)::
     wal.jsonl       append-only log, one JSON record per mutation
     snapshot.json   periodic full-state snapshot (atomic ``os.replace``,
                     the same publish idiom as ``exec/cache.py``)
-    store.lock      cross-process mutation mutex (shared mode only)
-    epoch           compaction generation counter (shared mode only)
+    store.lock      cross-process mutation mutex
+    epoch           compaction generation counter
 
 Every mutation — submit, state transition, per-point checkpoint, lease
 heartbeat, cancellation request, coalesced fan-out, result publication —
@@ -17,20 +17,19 @@ repaired (newline-terminated so later appends stay parseable), and its
 half-written record ignored.  :meth:`JobStore.compact` folds the WAL
 into a fresh snapshot so the log stays bounded.
 
-**Shared mode** (``shared=True``) is the multi-worker-fleet substrate:
-several *processes* open one store root.  Mutations serialize behind an
-``exec.cache.FileLock`` and, before acting, fold in every WAL record
-other processes appended since we last looked (cheap byte-offset tail
-replay).  A compaction by any process bumps the ``epoch`` file; readers
-that observe a new epoch reload snapshot + WAL from scratch.  Absorbing
-foreign records updates existing :class:`Job` objects *in place*, so
-references held across calls (``store.get(id) is job``) stay valid.
+Any number of *processes* may open one store root: a server, its
+fleet workers, ``repro record --from-store``.  Mutations serialize
+behind an ``exec.cache.FileLock`` and, before acting, fold in every WAL
+record other processes appended since we last looked (cheap byte-offset
+tail replay).  A compaction by any process bumps the ``epoch`` file;
+readers that observe a new epoch reload snapshot + WAL from scratch.
+Absorbing foreign records updates existing :class:`Job` objects *in
+place*, so references held across calls (``store.get(id) is job``) stay
+valid.
 
-In single-process mode a job found ``running`` at load time belonged to
-a worker that died without transitioning it and is re-queued (with its
-checkpoints intact) — the crash/resume path.  Shared mode must *not* do
-that blanket requeue (the job may be healthily running in a sibling
-process); there, recovery is the scheduler's lease-expiry reclaim.
+Loading never touches a job found ``running``: it may be healthily
+running in another process.  Recovery from a dead worker is the
+scheduler's lease-expiry reclaim, which keeps the job's checkpoints.
 
 All methods are additionally thread-safe (one re-entrant lock): HTTP
 handler threads and the worker loop share a store instance.
@@ -67,7 +66,6 @@ class JobStore:
         root: str | os.PathLike,
         fsync: bool = True,
         compact_every: int = DEFAULT_COMPACT_EVERY,
-        shared: bool = False,
         lock_timeout: float = 30.0,
         lock_stale_after: float = 120.0,
     ) -> None:
@@ -75,16 +73,11 @@ class JobStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.compact_every = max(1, int(compact_every))
-        self.shared = bool(shared)
         self._lock = threading.RLock()
-        self._file_lock = (
-            FileLock(
-                self.root / LOCK_NAME,
-                timeout=lock_timeout,
-                stale_after=lock_stale_after,
-            )
-            if self.shared
-            else None
+        self._file_lock = FileLock(
+            self.root / LOCK_NAME,
+            timeout=lock_timeout,
+            stale_after=lock_stale_after,
         )
         self._excl_depth = 0
         self._jobs: dict[str, Job] = {}
@@ -93,12 +86,8 @@ class JobStore:
         self._wal_offset = 0
         self._epoch = 0
         self._wal: io.TextIOWrapper | None = None
-        self.recovered_jobs: list[str] = []
-        if self._file_lock is not None:
-            # Torn-tail repair writes to the WAL: take the mutex for it.
-            with self._file_lock:
-                self._load()
-        else:
+        # Torn-tail repair writes to the WAL: take the mutex for it.
+        with self._file_lock:
             self._load()
         self._open_wal()
 
@@ -173,15 +162,6 @@ class JobStore:
             self._absorb(Job.from_dict(raw))
         self._wal_records = 0
         self._wal_offset = self._replay_wal_from(0, repair=True)
-        # Crash recovery: a job still marked running lost its worker.
-        # Only valid when this process is the sole store user — in
-        # shared mode a sibling process may legitimately own it, and
-        # lease expiry (scheduler.reclaim_expired) handles real deaths.
-        if not self.shared:
-            for job in self._jobs.values():
-                if job.state is JobState.RUNNING:
-                    job.state = JobState.QUEUED
-                    self.recovered_jobs.append(job.job_id)
 
     def _replay_wal_from(self, offset: int, repair: bool) -> int:
         """Replay complete WAL records from *offset*; the new offset.
@@ -307,11 +287,10 @@ class JobStore:
             self._open_wal()
             self._wal_records = 0
             self._wal_offset = 0
-            if self.shared:
-                # Publish the new generation so sibling processes stop
-                # trusting their byte offsets and reload.
-                self._epoch += 1
-                self._write_epoch()
+            # Publish the new generation so other processes stop
+            # trusting their byte offsets and reload.
+            self._epoch += 1
+            self._write_epoch()
 
     def close(self) -> None:
         with self._lock:
@@ -320,19 +299,19 @@ class JobStore:
                 self._wal = None
 
     # ------------------------------------------------------------------
-    # Cross-process coordination (no-ops in single-process mode)
+    # Cross-process coordination
     # ------------------------------------------------------------------
     @contextlib.contextmanager
     def exclusive(self):
-        """Mutation critical section: thread lock, plus (shared mode)
-        the cross-process file lock and a catch-up WAL replay so every
-        decision made inside sees the latest committed state.
+        """Mutation critical section: thread lock, the cross-process
+        file lock and a catch-up WAL replay so every decision made
+        inside sees the latest committed state.
 
         Re-entrant on both levels, so store mutations nest freely
         inside scheduler-level ``exclusive()`` blocks.
         """
         with self._lock:
-            if self._file_lock is not None and self._excl_depth == 0:
+            if self._excl_depth == 0:
                 self._file_lock.acquire()
                 try:
                     self._refresh(repair=True)
@@ -344,7 +323,7 @@ class JobStore:
                 yield self
             finally:
                 self._excl_depth -= 1
-                if self._file_lock is not None and self._excl_depth == 0:
+                if self._excl_depth == 0:
                     self._file_lock.release()
 
     def _refresh(self, repair: bool) -> None:
@@ -381,8 +360,8 @@ class JobStore:
             self._absorb(Job.from_dict(raw))
 
     def _sync_view(self) -> None:
-        """Best-effort read-side catch-up for queries in shared mode."""
-        if self.shared and self._excl_depth == 0:
+        """Best-effort read-side catch-up for queries."""
+        if self._excl_depth == 0:
             self._refresh(repair=False)
 
     # ------------------------------------------------------------------
@@ -475,9 +454,10 @@ class JobStore:
     def request_cancel(self, job_id: str) -> bool:
         """Durably flag a job for cooperative cancellation.
 
-        Works across processes: fleet workers poll the flag between
-        points.  True when the flag was set, False when the job had
-        already reached a terminal state.
+        Works across processes: the claiming worker catches up with
+        the store and reads the flag between points.  True when the
+        flag was set, False when the job had already reached a terminal
+        state.
         """
         with self.exclusive():
             job = self.get(job_id)
@@ -536,9 +516,9 @@ class JobStore:
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Job:
         with self._lock:
-            # Always catch up first in shared mode: a sibling process
-            # may have transitioned (or submitted) this job since we
-            # last looked, and status polls come through here.
+            # Always catch up first: another process may have
+            # transitioned (or submitted) this job since we last
+            # looked, and status polls come through here.
             self._sync_view()
             job = self._jobs.get(job_id)
             if job is None:

@@ -9,14 +9,16 @@ Three pieces:
   completed point to the store's WAL before moving on.  Because results
   are reassembled in spec order regardless of which attempt produced
   them, a resumed campaign emits tables byte-identical to an
-  uninterrupted run.  Between points it polls the controls: the
-  worker's stop event (graceful shutdown), the job's cancel event, the
-  per-attempt deadline, and — in fleet mode — the lease guard, which
-  renews the lease, honors durable cross-process cancel requests, and
-  aborts the attempt when another worker has re-claimed the job.
+  uninterrupted run.  Between points it checks the controls: the
+  worker's stop flag (graceful shutdown); the lease guard, which renews
+  the lease, catches up with the store, and aborts the attempt when
+  another worker has re-claimed the job; the job's durable
+  ``cancel_requested`` flag; and the per-attempt deadline.
 
 * :class:`ServeWorker` — the loop that claims the next job from the
-  scheduler, runs it, and maps outcomes onto the state machine: success
+  scheduler under a lease, whether it runs on a thread of the server
+  (``repro serve --workers 0``) or in a fleet worker process, runs it,
+  and maps outcomes onto the state machine: success
   -> ``done`` (fanning the result out to coalesced duplicates);
   transient failures (:class:`~repro.errors.PointExecutionError`,
   timeouts) -> retry with backoff until ``max_attempts`` then
@@ -25,8 +27,8 @@ Three pieces:
   abandon silently (the new owner's transitions are authoritative).
 
 * :func:`main` — the fleet entry point: ``python -m repro.serve.worker
-  --dir ROOT --worker-id wN`` opens the store in shared mode and drains
-  it until SIGTERM/SIGINT, which stop gracefully (finish the in-flight
+  --dir ROOT --worker-id wN`` opens the store and drains it until
+  SIGTERM/SIGINT, which stop gracefully (finish the in-flight
   point, checkpoint, preempt, exit 0).
 
 An idle worker does not poll: it waits on its :class:`~repro.serve.
@@ -38,6 +40,7 @@ wakes the service's blocked ``GET /jobs/<id>?wait=S`` readers.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import traceback
@@ -93,24 +96,27 @@ class CheckpointingExecutor(PointExecutor):
         job: Job,
         jobs: int = 1,
         stop_event: StopFlag | threading.Event | None = None,
-        cancel_event: threading.Event | None = None,
         deadline: float | None = None,
         clock=time.time,
         registry=None,
         lease_guard=None,
     ) -> None:
-        super().__init__(jobs=jobs, cancel_event=cancel_event)
+        super().__init__(jobs=jobs)
         self.store = store
         self.job = job
         self.stop_event = stop_event
         self.deadline = deadline
         self.clock = clock
         self.registry = registry
-        #: callable polled between points in fleet mode; raises
-        #: JobCancelled (durable cancel request) or LeaseLostError
+        #: callable run between points: renews the lease and catches
+        #: the store up, or raises LeaseLostError
         self.lease_guard = lease_guard
         self.points_resumed = 0
         self.points_computed = 0
+
+    def _cancelled(self) -> bool:
+        # The store updates this Job in place whenever it catches up.
+        return self.job.cancel_requested
 
     # ------------------------------------------------------------------
     def map(self, fn, specs, section: str | None = None) -> list:
@@ -158,6 +164,8 @@ class CheckpointingExecutor(PointExecutor):
     def _check_controls(self, label: str) -> None:
         if self.stop_event is not None and self.stop_event.is_set():
             raise WorkerStopped(label)
+        if self.lease_guard is not None:
+            self.lease_guard()
         if self._cancelled():
             raise JobCancelled(
                 f"job {self.job.job_id} cancelled during {label!r}"
@@ -167,8 +175,6 @@ class CheckpointingExecutor(PointExecutor):
                 f"job {self.job.job_id} exceeded its time budget "
                 f"during {label!r}"
             )
-        if self.lease_guard is not None:
-            self.lease_guard()
 
     def _save(self, label: str, index: int, result) -> None:
         self.store.checkpoint(
@@ -184,8 +190,7 @@ class CheckpointingExecutor(PointExecutor):
 class ServeWorker:
     """The queue-draining loop (run inline or on a daemon thread).
 
-    With a *worker_id* the loop claims jobs under a lease (fleet mode);
-    without one it behaves as the original single-worker service.
+    Every claim holds a lease under *worker_id* (default ``w<pid>``).
     *doorbell* wakes the idle loop (a private one by default);
     *outcomes*, when given, is rung after every job outcome.
     """
@@ -206,11 +211,10 @@ class ServeWorker:
         self.jobs = jobs
         self.clock = clock
         self.registry = registry
-        self.worker_id = worker_id
+        self.worker_id = worker_id or f"w{os.getpid()}"
         self.doorbell = doorbell or Doorbell()
         self.outcomes = outcomes
         self.stop_event = StopFlag(self.doorbell)
-        self.cancel_events: dict[str, threading.Event] = {}
         self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------
@@ -228,14 +232,6 @@ class ServeWorker:
         self.stop_event.set()
         if wait and self._thread is not None:
             self._thread.join(timeout=timeout)
-
-    def request_cancel(self, job_id: str) -> bool:
-        """Flag a *running* job for cooperative cancellation."""
-        event = self.cancel_events.get(job_id)
-        if event is None:
-            return False
-        event.set()
-        return True
 
     # ------------------------------------------------------------------
     def run_forever(self) -> None:
@@ -264,23 +260,6 @@ class ServeWorker:
         return True
 
     # ------------------------------------------------------------------
-    def _lease_guard_for(self, job: Job):
-        """The between-points fleet control: renew the lease, honor
-        durable cancel requests, abandon on a lost claim."""
-        if self.worker_id is None:
-            return None
-
-        def guard() -> None:
-            cur = self.scheduler.heartbeat(
-                job, self.clock(), self.worker_id
-            )
-            if cur.cancel_requested:
-                raise JobCancelled(
-                    f"job {job.job_id} cancel requested (durable flag)"
-                )
-
-        return guard
-
     def run_job(self, job: Job) -> Job:
         """Run one already-claimed (``running``) job to an outcome."""
         started = self.clock()
@@ -288,20 +267,18 @@ class ServeWorker:
             self.registry.add(
                 "serve.jobs.started", 1.0, kind=job.spec.get("kind", "?")
             )
-        cancel_event = self.cancel_events.setdefault(
-            job.job_id, threading.Event()
-        )
         timeout = self.scheduler.config.job_timeout
         executor = CheckpointingExecutor(
             store=self.store,
             job=job,
             jobs=self.jobs,
             stop_event=self.stop_event,
-            cancel_event=cancel_event,
             deadline=None if timeout is None else started + timeout,
             clock=self.clock,
             registry=self.registry,
-            lease_guard=self._lease_guard_for(job),
+            lease_guard=lambda: self.scheduler.heartbeat(
+                job, self.clock(), self.worker_id
+            ),
         )
         try:
             result = run_job_spec(job.spec, executor)
@@ -363,8 +340,6 @@ class ServeWorker:
                         self.clock() - started,
                         kind=job.spec.get("kind", "?"),
                     )
-        finally:
-            self.cancel_events.pop(job.job_id, None)
         return job
 
     # ------------------------------------------------------------------
@@ -417,7 +392,6 @@ def main(
     worker waits on a private doorbell and rings no outcomes.
     """
     import argparse
-    import os
     import signal
 
     from repro.serve.scheduler import SchedulerConfig
@@ -447,13 +421,13 @@ def main(
         if args.config_json
         else SchedulerConfig()
     )
-    store = JobStore(args.dir, fsync=not args.no_fsync, shared=True)
+    store = JobStore(args.dir, fsync=not args.no_fsync)
     scheduler = Scheduler(store, config)
     worker = ServeWorker(
         store,
         scheduler,
         jobs=args.jobs,
-        worker_id=args.worker_id or f"w{os.getpid()}",
+        worker_id=args.worker_id,
         doorbell=None if doorbell_fds is None else Doorbell(*doorbell_fds),
         outcomes=None if outcome_fd is None else Doorbell(write_fd=outcome_fd),
     )

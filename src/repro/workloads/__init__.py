@@ -8,19 +8,13 @@ Workload factories self-register in :data:`repro.registry.WORKLOADS`;
 """
 
 from repro.workloads.base import NearMemPhase, Workload, WorkloadCosts
-from repro.workloads.suite import (
-    WORKLOADS,
-    microbenchmarks,
-    paper_workloads,
-    workload,
-)
+from repro.workloads.suite import microbenchmarks, paper_workloads, workload
 from repro.workloads.zoo import attention, mlp, sddmm, spmv
 
 __all__ = [
     "Workload",
     "WorkloadCosts",
     "NearMemPhase",
-    "WORKLOADS",
     "workload",
     "paper_workloads",
     "microbenchmarks",

@@ -9,8 +9,6 @@ constraints of §4.1 still hold.
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Iterator, Mapping
 
 from repro.frontend.kernel import parse_kernel
 from repro.registry import WORKLOADS as WORKLOAD_REGISTRY
@@ -303,49 +301,6 @@ def _human(n: int) -> str:
     if n >= 1024 * 1024:
         return f"{n // (1024 * 1024)}M"
     return f"{n // 1024}k"
-
-
-class _DeprecatedWorkloadTable(Mapping):
-    """Read-only view of the Table 3 registry entries.
-
-    The module-level ``WORKLOADS`` dict predates :mod:`repro.registry`;
-    this shim keeps ``WORKLOADS["mm"]`` / ``"mm" in WORKLOADS`` /
-    ``set(WORKLOADS)`` working (over the original ten names only) while
-    steering callers to the registry with a :class:`DeprecationWarning`.
-    """
-
-    def _names(self) -> tuple[str, ...]:
-        return WORKLOAD_REGISTRY.names(tag=TABLE3_TAG)
-
-    @staticmethod
-    def _warn() -> None:
-        warnings.warn(
-            "repro.workloads.WORKLOADS is deprecated; use "
-            "repro.registry.WORKLOADS (names/get/create) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, name: str):
-        self._warn()
-        if name not in self._names():
-            raise KeyError(name)
-        return WORKLOAD_REGISTRY.resolve(name)
-
-    def __iter__(self) -> Iterator[str]:
-        self._warn()
-        return iter(self._names())
-
-    def __len__(self) -> int:
-        self._warn()
-        return len(self._names())
-
-    def __repr__(self) -> str:
-        return f"WORKLOADS({', '.join(self._names())})"
-
-
-#: Deprecated — the Table 3 subset of :data:`repro.registry.WORKLOADS`.
-WORKLOADS: Mapping = _DeprecatedWorkloadTable()
 
 
 def workload(name: str, scale: float = 1.0, **kwargs) -> Workload:

@@ -226,7 +226,7 @@ class TestReplay:
         compile_out = capsys.readouterr().out
         section = compile_out[compile_out.index("-- lowered commands"):]
 
-        assert cli.main(["replay", dump, "--stage", "jit-lower"]) == 0
+        assert cli.main(["replay-artifact", dump, "--stage", "jit-lower"]) == 0
         replay_out = capsys.readouterr().out
         # The CI round-trip contract: replaying jit-lower from the
         # dumped fat binary reproduces the section byte-for-byte.
@@ -234,7 +234,7 @@ class TestReplay:
 
     def test_replay_missing_dump_fails(self, tmp_path, capsys):
         # PipelineError is an internal/pipeline failure: exit code 2.
-        code = cli.main(["replay", str(tmp_path / "empty")])
+        code = cli.main(["replay-artifact", str(tmp_path / "empty")])
         assert code == cli.EXIT_INTERNAL
         assert "manifest" in capsys.readouterr().err
 
@@ -262,20 +262,6 @@ class TestReplay:
         assert cli.main(["replay-artifact", dump, "--stage", "jit-lower"]) == 0
         err = capsys.readouterr().err
         assert "deprecated" not in err
-
-    def test_replay_alias_warns_deprecated(
-        self, saxpy_file, tmp_path, capsys
-    ):
-        dump = str(tmp_path / "dump")
-        args = saxpy_args(
-            "compile", saxpy_file, "--lower", "--dump-dir", dump
-        )
-        assert cli.main(args) == 0
-        capsys.readouterr()
-        assert cli.main(["replay", dump, "--stage", "jit-lower"]) == 0
-        err = capsys.readouterr().err
-        assert "deprecated" in err
-        assert "replay-artifact" in err
 
 
 class TestRecordReplaySession:
@@ -374,7 +360,6 @@ class TestRecordReplaySession:
             assert cli.main([verb, "--help"]) == cli.EXIT_OK
             out = capsys.readouterr().out
             assert "two replay verbs" in out
-            assert "deprecated alias" in out
 
 
 class TestExitCodes:
@@ -408,7 +393,7 @@ class TestExitCodes:
         assert "cannot reach" in capsys.readouterr().err
 
     def test_internal_pipeline_error_is_two(self, tmp_path, capsys):
-        code = cli.main(["replay", str(tmp_path / "missing")])
+        code = cli.main(["replay-artifact", str(tmp_path / "missing")])
         assert code == cli.EXIT_INTERNAL == 2
         capsys.readouterr()
 

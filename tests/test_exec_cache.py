@@ -365,6 +365,17 @@ lock.release()
 print("after-release" if released else "stolen-while-held")
 """
 
+LOOPING_CHILD = """
+import sys
+from repro.exec.cache import FileLock
+
+lock = FileLock(sys.argv[1])
+print("ready", flush=True)
+while True:
+    lock.acquire()
+    lock.release()
+"""
+
 
 class TestFileLockMultiProcess:
     """Cross-process stress: the lock's one real job.
@@ -484,6 +495,42 @@ class TestFileLockMultiProcess:
         assert lock._held
         assert lock_path.read_text() == lock._token
         lock.release()
+
+    def test_holder_killed_at_any_instant_never_blocks_the_lock(
+        self, tmp_path
+    ):
+        """SIGKILL a process looping acquire/release at random instants.
+
+        After each kill a fresh lock must acquire within 2 s.  Its
+        stale_after is the default 30 s, so only a lockfile that names
+        the dead pid can be broken in time: one created empty, with the
+        claim still to be written, would block every user for 30 s.
+        """
+        import random
+        import signal
+        import time
+
+        from repro.exec.cache import FileLock
+
+        lock_path = tmp_path / "store.lock"
+        rng = random.Random(16)
+        for _ in range(10):
+            proc = subprocess.Popen(
+                [sys.executable, "-c", LOOPING_CHILD, str(lock_path)],
+                env=self._env(),
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            try:
+                assert proc.stdout.readline().strip() == "ready"
+                time.sleep(rng.uniform(0.005, 0.03))
+            finally:
+                proc.send_signal(signal.SIGKILL)
+                proc.wait(timeout=30)
+                proc.stdout.close()
+            lock = FileLock(lock_path, timeout=2.0)
+            lock.acquire()
+            lock.release()
 
 
 class TestSharedStoreHygiene:

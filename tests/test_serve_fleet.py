@@ -3,7 +3,7 @@
 Three layers, cheapest first:
 
 * hypothesis property tests drive the :class:`Scheduler` policy alone
-  (private in-memory store, fake clock, no execution) and pin the three
+  (a store of their own, fake clock, no execution) and pin the three
   fleet invariants: fair-share never starves a tenant with queued work,
   per-tenant running quotas are never exceeded, and two jobs with the
   same content fingerprint never execute concurrently;
@@ -49,9 +49,18 @@ class FakeClock:
         return self.now
 
 
+#: the claiming worker's id in the policy tests
+W = "w1"
+#: the policy tests send no heartbeats: their leases outlast the fake
+#: clock's whole run, so no claim is ever reclaimed under them
+LONG_LEASE = 1e6
+
+
 def make_sched(tmp_path, **cfg) -> Scheduler:
     store = JobStore(tmp_path / "store", fsync=False)
-    return Scheduler(store, SchedulerConfig(**cfg))
+    return Scheduler(
+        store, SchedulerConfig(**{"lease_duration": LONG_LEASE, **cfg})
+    )
 
 
 def submit_n(sched, clock, jobs):
@@ -106,7 +115,7 @@ class TestFairShareProperties:
             pending = {
                 j.tenant for j in sched.store.jobs(JobState.QUEUED)
             }
-            job = sched.claim_next(clock.advance(1.0))
+            job = sched.claim_next(clock.advance(1.0), W)
             if job is None:
                 assert not pending
                 break
@@ -118,7 +127,7 @@ class TestFairShareProperties:
             serves += 1
             last_served[job.tenant] = serves
             claimed.append(job.job_id)
-            sched.complete(job, {"ok": True}, clock())
+            sched.complete(job, {"ok": True}, clock(), W)
         assert sorted(claimed) == sorted(j.job_id for j in submitted)
 
     def test_flood_tenant_cannot_starve_trickle_tenant(self, tmp_path):
@@ -130,9 +139,9 @@ class TestFairShareProperties:
             sched, clock, [("flood", 0, f"wl{i}") for i in range(100)]
         )
         submit_n(sched, clock, [("trickle", 0, "lone")])
-        first = sched.claim_next(clock.advance(1.0))
-        sched.complete(first, {}, clock())
-        second = sched.claim_next(clock.advance(1.0))
+        first = sched.claim_next(clock.advance(1.0), W)
+        sched.complete(first, {}, clock(), W)
+        second = sched.claim_next(clock.advance(1.0), W)
         assert {first.tenant, second.tenant} == {"flood", "trickle"}
 
 
@@ -173,13 +182,13 @@ class TestQuotaProperties:
                 st.booleans(), label=f"claim@{step}"
             ) if running else True
             if do_claim:
-                job = sched.claim_next(clock.advance(1.0))
+                job = sched.claim_next(clock.advance(1.0), W)
                 if job is not None:
                     running.append(job)
                 elif not running:
                     break  # drained
             else:
-                sched.complete(running.pop(0), {}, clock.advance(1.0))
+                sched.complete(running.pop(0), {}, clock.advance(1.0), W)
             per_tenant: dict[str, int] = {}
             for j in sched.store.jobs(JobState.RUNNING):
                 per_tenant[j.tenant] = per_tenant.get(j.tenant, 0) + 1
@@ -245,7 +254,7 @@ class TestCoalesceProperties:
                 else True
             )
             if claim:
-                job = sched.claim_next(clock.advance(1.0))
+                job = sched.claim_next(clock.advance(1.0), W)
                 if job is not None:
                     running.append(job)
                 elif not running:
@@ -256,6 +265,7 @@ class TestCoalesceProperties:
                     leader,
                     {"value": leader.fingerprint[:8]},
                     clock.advance(1.0),
+                    W,
                 )
             fps = [
                 j.fingerprint
@@ -283,12 +293,12 @@ class TestCoalesceProperties:
             sched.admit(dict(same), now=clock(), tenant=f"t{i}").job_id
             for i in range(3)
         ]
-        leader = sched.claim_next(clock.advance(1.0))
-        sched.complete(leader, {"v": 1}, clock())
+        leader = sched.claim_next(clock.advance(1.0), W)
+        sched.complete(leader, {"v": 1}, clock(), W)
         assert sorted(sched.last_coalesced) == sorted(
             set(ids) - {leader.job_id}
         )
-        assert sched.claim_next(clock.advance(1.0)) is None
+        assert sched.claim_next(clock.advance(1.0), W) is None
 
 
 # ----------------------------------------------------------------------
@@ -296,8 +306,8 @@ class TestCoalesceProperties:
 # ----------------------------------------------------------------------
 class TestSharedStore:
     def test_cross_instance_visibility_and_identity(self, tmp_path):
-        a = JobStore(tmp_path, fsync=False, shared=True)
-        b = JobStore(tmp_path, fsync=False, shared=True)
+        a = JobStore(tmp_path, fsync=False)
+        b = JobStore(tmp_path, fsync=False)
         job = a.submit({"kind": "workload", "workload": "x"}, now=1.0)
         # B sees A's submit without being told.
         mirror = b.get(job.job_id)
@@ -315,8 +325,8 @@ class TestSharedStore:
         b.close()
 
     def test_epoch_reload_after_sibling_compaction(self, tmp_path):
-        a = JobStore(tmp_path, fsync=False, shared=True)
-        b = JobStore(tmp_path, fsync=False, shared=True)
+        a = JobStore(tmp_path, fsync=False)
+        b = JobStore(tmp_path, fsync=False)
         for i in range(5):
             a.submit({"kind": "workload", "workload": f"x{i}"}, now=1.0)
         assert len(b.jobs()) == 5
@@ -335,23 +345,23 @@ class TestSharedStore:
         b.close()
 
     def test_torn_tail_is_repaired_and_skipped(self, tmp_path):
-        a = JobStore(tmp_path, fsync=False, shared=True)
+        a = JobStore(tmp_path, fsync=False)
         a.submit({"kind": "workload", "workload": "ok"}, now=1.0)
         a.close()
         with open(tmp_path / "wal.jsonl", "a", encoding="utf-8") as fh:
             fh.write('{"op": "submit", "job": {"job_id": "torn')
-        b = JobStore(tmp_path, fsync=False, shared=True)
+        b = JobStore(tmp_path, fsync=False)
         assert [j.spec["workload"] for j in b.jobs()] == ["ok"]
         # The repair newline keeps the next append parseable.
         b.submit({"kind": "workload", "workload": "next"}, now=2.0)
         b.close()
-        c = JobStore(tmp_path, fsync=False, shared=True)
+        c = JobStore(tmp_path, fsync=False)
         assert [j.spec["workload"] for j in c.jobs()] == ["ok", "next"]
         c.close()
 
     def test_durable_cancel_request_crosses_instances(self, tmp_path):
-        a = JobStore(tmp_path, fsync=False, shared=True)
-        b = JobStore(tmp_path, fsync=False, shared=True)
+        a = JobStore(tmp_path, fsync=False)
+        b = JobStore(tmp_path, fsync=False)
         job = a.submit({"kind": "workload", "workload": "x"}, now=1.0)
         assert a.request_cancel(job.job_id) is True
         assert b.get(job.job_id).cancel_requested is True

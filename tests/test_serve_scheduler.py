@@ -12,6 +12,7 @@ from repro.serve.scheduler import Scheduler, SchedulerConfig
 from repro.serve.store import JobStore
 
 SPEC = {"kind": "campaign", "figure": "fig14", "scale": 0.05}
+W = "w1"  # the claiming worker's id
 
 
 @pytest.fixture
@@ -35,8 +36,8 @@ class TestOrdering:
 
     def test_backoff_deadline_hides_job(self, sched):
         job = sched.admit(SPEC, now=0.0)
-        sched.start(job, 0.0)
-        sched.fail(job, "flaky", now=0.0, transient=True)
+        sched.start(job, 0.0, W)
+        sched.fail(job, "flaky", now=0.0, transient=True, worker=W)
         assert job.state is JobState.QUEUED
         assert sched.next_job(0.0) is None  # still backing off
         assert sched.next_job(job.not_before + 0.01).job_id == job.job_id
@@ -45,7 +46,7 @@ class TestOrdering:
     def test_max_running_gates_dispatch(self, sched):
         a = sched.admit(SPEC, now=0.0)
         sched.admit(SPEC, now=0.0)
-        sched.start(a, 0.0)
+        sched.start(a, 0.0, W)
         assert sched.next_job(1.0) is None  # max_running=1
 
     @given(
@@ -85,8 +86,8 @@ class TestAdmission:
         store = JobStore(tmp_path / "serve", fsync=False)
         sched = Scheduler(store, SchedulerConfig(max_queued=1))
         job = sched.admit(SPEC)
-        sched.start(job, 0.0)
-        sched.complete(job, {"ok": True}, 1.0)
+        sched.start(job, 0.0, W)
+        sched.complete(job, {"ok": True}, 1.0, W)
         sched.admit(SPEC)  # must not raise: the done job is not queued
         store.close()
 
@@ -130,11 +131,11 @@ class TestBackoff:
         store = JobStore(tmp_path / "serve", fsync=False)
         sched = Scheduler(store, SchedulerConfig(max_attempts=2))
         job = sched.admit(SPEC)
-        sched.start(job, 0.0)
-        sched.fail(job, "flaky-1", now=0.0, transient=True)
+        sched.start(job, 0.0, W)
+        sched.fail(job, "flaky-1", now=0.0, transient=True, worker=W)
         assert job.state is JobState.QUEUED
-        sched.start(job, 10.0)
-        sched.fail(job, "flaky-2", now=10.0, transient=True)
+        sched.start(job, 10.0, W)
+        sched.fail(job, "flaky-2", now=10.0, transient=True, worker=W)
         assert job.state is JobState.FAILED  # attempts == max_attempts
         assert "flaky-2" in job.error
         store.close()
@@ -143,8 +144,8 @@ class TestBackoff:
         store = JobStore(tmp_path / "serve", fsync=False)
         sched = Scheduler(store, SchedulerConfig(max_attempts=5))
         job = sched.admit(SPEC)
-        sched.start(job, 0.0)
-        sched.fail(job, "bad kernel", now=0.0, transient=False)
+        sched.start(job, 0.0, W)
+        sched.fail(job, "bad kernel", now=0.0, transient=False, worker=W)
         assert job.state is JobState.FAILED
         store.close()
 
@@ -152,9 +153,9 @@ class TestBackoff:
         store = JobStore(tmp_path / "serve", fsync=False)
         sched = Scheduler(store, SchedulerConfig())
         job = sched.admit(SPEC)
-        sched.start(job, 0.0)
+        sched.start(job, 0.0, W)
         assert job.attempts == 1
-        sched.preempt(job, 1.0)
+        sched.preempt(job, 1.0, W)
         assert job.state is JobState.QUEUED
         assert job.attempts == 0
         store.close()

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import JobStateError, UnknownJobError
 from repro.serve.jobs import JobState, checkpoint_key, decode_point, encode_point
+from repro.serve.scheduler import Scheduler, SchedulerConfig
 from repro.serve.store import JobStore
 
 SPEC = {"kind": "campaign", "figure": "fig14", "scale": 0.05}
@@ -73,7 +74,11 @@ class TestDurability:
         assert decode_point(reloaded.checkpoints["fig14:0"]) == 42
         s2.close()
 
-    def test_running_job_requeued_on_recovery(self, tmp_path):
+    def test_leaseless_running_job_reclaimed_at_first_claim(self, tmp_path):
+        """A running job without a lease (``lease_until`` 0, as a worker
+        that claimed without one leaves it) stays running at load and is
+        reclaimed by the first claim: its checkpoints survive, and the
+        interrupted attempt is not refunded."""
         root = tmp_path / "serve"
         s1 = JobStore(root, fsync=False)
         job = s1.submit(SPEC)
@@ -82,10 +87,16 @@ class TestDurability:
         s1.close()  # worker "dies" without a terminal transition
 
         s2 = JobStore(root, fsync=False)
-        assert s2.recovered_jobs == [job.job_id]
-        recovered = s2.get(job.job_id)
-        assert recovered.state is JobState.QUEUED
-        assert recovered.checkpoints  # progress survived the crash
+        loaded = s2.get(job.job_id)
+        assert loaded.state is JobState.RUNNING  # loading requeues nothing
+        assert loaded.lease_until == 0.0
+        claimed = Scheduler(s2, SchedulerConfig()).claim_next(1.0, "w1")
+        assert claimed is loaded
+        assert claimed.state is JobState.RUNNING
+        assert claimed.worker == "w1" and claimed.lease_until > 1.0
+        assert claimed.attempts == 2
+        assert decode_point(claimed.checkpoints["fig14:0"]) == "partial"
+        assert "lease expired (worker None" in (root / "wal.jsonl").read_text()
         s2.close()
 
     def test_torn_wal_tail_is_ignored(self, tmp_path):

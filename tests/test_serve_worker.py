@@ -191,7 +191,7 @@ class TestRunJob:
         def cancelling(spec, executor):
             def fn(i):
                 if i == 1:
-                    worker.request_cancel(job.job_id)
+                    store.request_cancel(job.job_id)  # the durable flag
                 return i
 
             return executor.map(fn, range(6), section="s")
@@ -244,9 +244,14 @@ class TestCrashResume:
     def test_sigkill_mid_campaign_then_resume_is_byte_identical(
         self, tmp_path
     ):
+        """A worker thread's process is SIGKILLed mid-campaign; a
+        restart on the same store, once the lease has lapsed, resumes
+        from the durable checkpoints, and the table is byte-identical
+        to an uninterrupted run."""
         root = tmp_path / "serve"
+        config = SchedulerConfig(lease_duration=3.0, lease_renew_margin=1.5)
         parent = JobStore(root, fsync=True)
-        scheduler = Scheduler(parent, SchedulerConfig())
+        scheduler = Scheduler(parent, config)
         job = scheduler.admit(SPEC)
         job_id = job.job_id
         parent.close()
@@ -257,13 +262,14 @@ class TestCrashResume:
             "from repro.serve.store import JobStore\n"
             "from repro.serve.worker import ServeWorker\n"
             "store = JobStore(sys.argv[1], fsync=True)\n"
-            "worker = ServeWorker(store, Scheduler(store, SchedulerConfig()))\n"
+            "config = SchedulerConfig.from_json(sys.argv[2])\n"
+            "worker = ServeWorker(store, Scheduler(store, config))\n"
             "worker.run_forever()\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
-            [sys.executable, "-c", child_src, str(root)],
+            [sys.executable, "-c", child_src, str(root), config.to_json()],
             env=env,
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
@@ -293,19 +299,22 @@ class TestCrashResume:
                 proc.kill()
                 proc.wait(timeout=30)
 
-        # Restart: the running job is recovered to queued, checkpoints
-        # intact, and the resumed table matches an uninterrupted run.
+        # Restart: loading leaves the job running under the dead
+        # worker's lease, checkpoints intact.
         store = JobStore(root, fsync=False)
-        assert store.recovered_jobs == [job_id]
-        recovered = store.get(job_id)
-        assert recovered.state is JobState.QUEUED
-        resumed_from = len(recovered.checkpoints)
+        seen = store.get(job_id)
+        assert seen.state is JobState.RUNNING
+        resumed_from = len(seen.checkpoints)
         assert resumed_from >= 2
 
-        worker = ServeWorker(store, Scheduler(store, SchedulerConfig()))
-        worker.run_once()
+        # Once the lease lapses, the first claim reclaims and resumes
+        # it, and the table matches an uninterrupted run.
+        time.sleep(max(0.0, seen.lease_until - time.time()) + 0.1)
+        worker = ServeWorker(store, Scheduler(store, config))
+        assert worker.run_once()
         finished = store.get(job_id)
         assert finished.state is JobState.DONE
+        assert finished.attempts == 2  # the crashed attempt is not refunded
         assert finished.result["table"] == self._uninterrupted_table()
 
         # And the resume actually resumed: a fresh executor would have
@@ -317,13 +326,13 @@ class TestCrashResume:
         self, tmp_path
     ):
         """Fleet-mode crash recovery: a worker is SIGKILLed mid-lease;
-        the job stays RUNNING (no blanket requeue in shared mode) until
-        the lease lapses, then a sibling worker reclaims it, resumes
-        from the durable checkpoints, and the finished table is
-        byte-identical to an uninterrupted run."""
+        the job stays RUNNING (loading requeues nothing) until the lease
+        lapses, then a sibling worker reclaims it, resumes from the
+        durable checkpoints, and the finished table is byte-identical
+        to an uninterrupted run."""
         root = tmp_path / "serve"
         config = SchedulerConfig(lease_duration=3.0, lease_renew_margin=1.5)
-        parent = JobStore(root, fsync=False, shared=True)
+        parent = JobStore(root, fsync=False)
         scheduler = Scheduler(parent, config)
         job_id = scheduler.admit(SPEC).job_id
 
@@ -367,10 +376,9 @@ class TestCrashResume:
                 proc.kill()
                 proc.wait(timeout=30)
 
-        # Shared-mode open must NOT blanket-requeue the running job —
-        # only the lease knows whether its owner is really dead.
-        observer = JobStore(root, fsync=False, shared=True)
-        assert observer.recovered_jobs == []
+        # Opening the store must NOT requeue the running job — only
+        # the lease knows whether its owner is really dead.
+        observer = JobStore(root, fsync=False)
         seen = observer.get(job_id)
         assert seen.state is JobState.RUNNING
         assert seen.worker == "wA"
@@ -425,6 +433,36 @@ def _wait_terminal(store, job_id, timeout):
             return False
         time.sleep(0.005)
     return True
+
+
+class TestCancelRunningJob:
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_service_cancel_stops_running_job(self, tmp_path, workers):
+        """``ReproService.cancel`` on a running job, whose worker runs on
+        a thread (0) or in a fleet process (1), sets the durable flag:
+        the job stops at its next point and ends cancelled with its
+        checkpoints, and the job queued behind it runs."""
+        from repro.serve.service import ReproService
+
+        service = ReproService(
+            root=tmp_path / "serve", fsync=False, workers=workers
+        )
+        running = service.submit(SPEC).job_id
+        behind = service.submit(CHEAP_SPEC).job_id
+        service.start()
+        try:
+            deadline = time.monotonic() + 120.0
+            while not service.store.get(running).checkpoints:
+                assert time.monotonic() < deadline, "no checkpoint appeared"
+                time.sleep(0.005)
+            assert service.cancel(running)["state"] == "cancelling"
+            status = service.status(running, wait=30.0)
+            assert status["state"] == "cancelled", status
+            kept = service.store.get(running).checkpoints
+            assert 1 <= len(kept) < 13  # fig14 stopped part-way, kept
+            assert service.status(behind, wait=30.0)["state"] == "done"
+        finally:
+            service.shutdown()
 
 
 class TestWakeUps:
@@ -493,7 +531,7 @@ class TestWakeUps:
         """SIGTERM rings the doorbell from the handler: an idle worker
         process exits at once, although its recheck is 30 s."""
         root = tmp_path / "serve"
-        store = JobStore(root, fsync=False, shared=True)
+        store = JobStore(root, fsync=False)
         job_id = Scheduler(store, SchedulerConfig()).admit(CHEAP_SPEC).job_id
         child_src = (
             "import sys\n"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.frontend.classify import LoopKind
-from repro.workloads import WORKLOADS, paper_workloads, workload
+from repro.workloads import paper_workloads, workload
 from repro.workloads.suite import (
     array_sum,
     conv3d,
@@ -59,13 +59,6 @@ class TestTable3Parameters:
         assert len(wls) == 10
         names = {w.name.split("/")[0] for w in wls}
         assert names == set(REGISTRY.names(tag="table3"))
-
-    def test_deprecated_table_still_maps_table3(self):
-        with pytest.deprecated_call():
-            names = set(WORKLOADS)
-        assert len(names) == 10
-        with pytest.deprecated_call():
-            assert WORKLOADS["mm"] is mm
 
     def test_unknown_workload(self):
         with pytest.raises(KeyError):
