@@ -6,13 +6,13 @@ paper's workload kernels, comparing the incremental ``indexed`` strategy
 against the seed-faithful ``naive`` matcher, and maintains the committed
 ``benchmarks/BENCH_egraph.json`` baseline that CI gates against.
 
-Usage::
+Usage (from the repository root, ``PYTHONPATH=src``)::
 
-    python benchmarks/bench_compile_time.py                  # measure + report
-    python benchmarks/bench_compile_time.py --indexed-only   # skip the slow naive runs
-    python benchmarks/bench_compile_time.py --skip-naive     # reuse committed naive refs
-    python benchmarks/bench_compile_time.py --update benchmarks/BENCH_egraph.json
-    python benchmarks/bench_compile_time.py --check benchmarks/BENCH_egraph.json
+    python -m benchmarks.bench_compile_time                 # measure + report
+    python -m benchmarks.bench_compile_time --indexed-only  # skip the slow naive runs
+    python -m benchmarks.bench_compile_time --skip-naive    # reuse committed naive refs
+    python -m benchmarks.bench_compile_time --update benchmarks/BENCH_egraph.json
+    python -m benchmarks.bench_compile_time --check benchmarks/BENCH_egraph.json
 
 ``--skip-naive`` runs the full acceptance checks (cost identity,
 speedup floor) without paying for the ~minutes-long naive matcher: the
@@ -23,16 +23,14 @@ Extracted costs are exact integers and machine-independent, so the
 reused ``naive_cost_after`` values compare exactly.
 
 ``--check`` re-measures the indexed strategy only and fails (exit 1) if
-the calibrated total wall-time regresses more than ``--tolerance``
-(default 0.25) over the baseline, if any extracted cost changed, if any
+the calibrated total wall-time regresses more than ``gate.TOLERANCE``
+(25 %) over the baseline, if any extracted cost changed, if any
 kernel regresses to ``cost_match=false`` (extracting *worse* than the
 committed naive reference), or if the calibrated saturation speedup on
-the largest kernel drops below ``SPEEDUP_FLOOR``.  Raw seconds are not
-comparable across machines, so both the baseline and the check run time
-a fixed pure-python calibration loop and the baseline timings are
-rescaled by the calibration ratio before the bands are applied.  A
-missing baseline file is a graceful skip (exit 0), so the gate can land
-before the first baseline does.
+the largest kernel drops below ``SPEEDUP_FLOOR``.  The baseline timings
+are rescaled by the calibration ratio before the bands are applied, and
+a baseline recorded at other ``PROTOCOL`` knobs is skipped (see
+``benchmarks/gate.py``).
 
 Cost-identity note: saturation is fully deterministic (insertion-ordered
 e-class node sets, explicit candidate sort keys), so every kernel —
@@ -46,7 +44,6 @@ is required — see DESIGN.md.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -55,6 +52,11 @@ from pathlib import Path
 from repro.egraph import optimize_tdfg
 from repro.workloads import suite
 
+from benchmarks import gate
+
+#: the knobs a baseline must share with the run to be compared
+PROTOCOL = {"scale": 0.02, "max_iterations": 6, "node_budget": 20_000}
+REPEATS = 3
 KERNELS = (
     "stencil1d",
     "stencil2d",
@@ -75,18 +77,6 @@ SPEEDUP_FLOOR = 40.0
 DEFAULT_BASELINE = Path(__file__).parent / "BENCH_egraph.json"
 
 
-def _calibrate(rounds: int = 3) -> float:
-    """Seconds for a fixed pure-python loop: the machine-speed yardstick."""
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        acc = 0
-        for i in range(2_000_000):
-            acc += i * 3 % 7
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def _workload_tdfg(name: str, scale: float):
     w = suite.workload(name, scale=scale)
     kernel = w.program.instantiate(
@@ -95,7 +85,7 @@ def _workload_tdfg(name: str, scale: float):
     return kernel.first_region().tdfg
 
 
-def _measure(tdfg, strategy, max_iterations, node_budget, repeats):
+def _measure(tdfg, strategy, repeats):
     """(best wall seconds, saturation seconds, report) over *repeats* runs."""
     best = float("inf")
     best_sat = float("inf")
@@ -104,8 +94,8 @@ def _measure(tdfg, strategy, max_iterations, node_budget, repeats):
         t0 = time.perf_counter()
         _, rep = optimize_tdfg(
             tdfg,
-            max_iterations=max_iterations,
-            node_budget=node_budget,
+            max_iterations=PROTOCOL["max_iterations"],
+            node_budget=PROTOCOL["node_budget"],
             strategy=strategy,
         )
         wall = time.perf_counter() - t0
@@ -119,21 +109,15 @@ def _measure(tdfg, strategy, max_iterations, node_budget, repeats):
     return best, best_sat, report
 
 
-def _load_naive_refs(path: Path, args, calibration: float) -> dict:
+def _load_naive_refs(path: Path, calibration: float) -> dict:
     """Committed naive rows rescaled to this machine (see --skip-naive)."""
     if not path.exists():
         raise SystemExit(f"--skip-naive: no baseline at {path}")
     base = json.loads(path.read_text())
-    if (
-        base.get("scale") != args.scale
-        or base.get("max_iterations") != args.max_iterations
-        or base.get("node_budget") != args.node_budget
-    ):
+    knobs = {k: base.get(k) for k in PROTOCOL}
+    if knobs != PROTOCOL:
         raise SystemExit(
-            "--skip-naive: baseline was recorded at different knobs "
-            f"(scale={base.get('scale')}, max_iterations="
-            f"{base.get('max_iterations')}, node_budget="
-            f"{base.get('node_budget')})"
+            f"--skip-naive: baseline was recorded at different knobs {knobs}"
         )
     cal_ratio = calibration / base["calibration_seconds"]
     refs: dict[str, dict] = {}
@@ -155,11 +139,9 @@ def _load_naive_refs(path: Path, args, calibration: float) -> dict:
 
 def run_bench(args, naive_refs: dict | None = None) -> dict:
     results: dict[str, dict] = {}
-    for name in args.kernels:
-        tdfg = _workload_tdfg(name, args.scale)
-        iw, isat, irep = _measure(
-            tdfg, "indexed", args.max_iterations, args.node_budget, args.repeats
-        )
+    for name in KERNELS:
+        tdfg = _workload_tdfg(name, PROTOCOL["scale"])
+        iw, isat, irep = _measure(tdfg, "indexed", REPEATS)
         row = {
             "indexed_seconds": round(iw, 4),
             "indexed_saturate_seconds": round(isat, 4),
@@ -174,9 +156,7 @@ def run_bench(args, naive_refs: dict | None = None) -> dict:
             if ref is not None:
                 row.update(ref)
         elif not args.indexed_only:
-            nw, nsat, nrep = _measure(
-                tdfg, "naive", args.max_iterations, args.node_budget, 1
-            )
+            nw, nsat, nrep = _measure(tdfg, "naive", 1)
             row.update(
                 {
                     "naive_seconds": round(nw, 4),
@@ -251,40 +231,9 @@ def check_acceptance(results: dict) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Baseline handling
+# Baseline comparison
 # ----------------------------------------------------------------------
-def write_baseline(path: Path, args, calibration: float, results: dict) -> None:
-    payload = {
-        "scale": args.scale,
-        "max_iterations": args.max_iterations,
-        "node_budget": args.node_budget,
-        "calibration_seconds": round(calibration, 4),
-        "total_indexed_seconds": round(
-            sum(r["indexed_seconds"] for r in results.values()), 4
-        ),
-        "kernels": results,
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"baseline written to {path}")
-
-
-def check_baseline(path: Path, args, calibration: float, results: dict) -> int:
-    if not path.exists():
-        print(f"no baseline at {path}; skipping regression check")
-        return 0
-    base = json.loads(path.read_text())
-    if base.get("scale") != args.scale or (
-        base.get("max_iterations") != args.max_iterations
-        or base.get("node_budget") != args.node_budget
-    ):
-        print(
-            "baseline was recorded at different knobs "
-            f"(scale={base.get('scale')}, max_iterations="
-            f"{base.get('max_iterations')}, node_budget="
-            f"{base.get('node_budget')}); skipping regression check"
-        )
-        return 0
-
+def compare(base: dict, calibration: float, results: dict) -> list[str]:
     failures = []
     cal_ratio = calibration / base["calibration_seconds"]
     # Saturation is deterministic end to end (insertion-ordered e-class
@@ -331,33 +280,24 @@ def check_baseline(path: Path, args, calibration: float, results: dict) -> int:
     # Wall-time gate: rescale the baseline by the calibration ratio so the
     # band tracks machine speed, and gate on the total (single-kernel times
     # at bench scale are too noisy for a per-kernel band).
-    allowed = base["total_indexed_seconds"] * cal_ratio * (1.0 + args.tolerance)
+    band = 1.0 + gate.TOLERANCE
+    allowed = base["total_indexed_seconds"] * cal_ratio * band
     total = sum(r["indexed_seconds"] for r in results.values())
     print(
         f"total indexed wall-time {total:.3f}s; calibrated budget "
         f"{allowed:.3f}s (baseline {base['total_indexed_seconds']:.3f}s "
-        f"x cal {cal_ratio:.2f} x {1.0 + args.tolerance:.2f})"
+        f"x cal {cal_ratio:.2f} x {band:.2f})"
     )
     if total > allowed:
         failures.append(
             f"compile-time regression: {total:.3f}s > {allowed:.3f}s "
-            f"(+{args.tolerance:.0%} band)"
+            f"(+{gate.TOLERANCE:.0%} band)"
         )
-
-    for f in failures:
-        print(f"FAIL: {f}")
-    if not failures:
-        print("compile-time regression check passed")
-    return 1 if failures else 0
+    return failures
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--scale", type=float, default=0.02)
-    ap.add_argument("--max-iterations", type=int, default=6)
-    ap.add_argument("--node-budget", type=int, default=20_000)
-    ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--kernels", nargs="*", default=list(KERNELS))
+    ap = gate.parser(__doc__)
     ap.add_argument(
         "--indexed-only",
         action="store_true",
@@ -373,33 +313,33 @@ def main() -> int:
         help="reuse the committed naive reference costs/timings instead "
         "of re-running the naive matcher (acceptance checks still run)",
     )
-    ap.add_argument("--update", type=Path, help="write the baseline JSON here")
-    ap.add_argument("--check", type=Path, help="compare against this baseline")
-    ap.add_argument("--tolerance", type=float, default=0.25)
     args = ap.parse_args()
     if args.check:
         args.indexed_only = True  # the gate only times the indexed strategy
         args.skip_naive = None
 
-    calibration = _calibrate()
-    print(f"calibration {calibration * 1e3:.1f}ms  scale {args.scale}")
+    calibration = gate.calibrate()
+    print(f"calibration {calibration * 1e3:.1f}ms  scale {PROTOCOL['scale']}")
     naive_refs = None
     if args.skip_naive is not None:
-        naive_refs = _load_naive_refs(args.skip_naive, args, calibration)
+        naive_refs = _load_naive_refs(args.skip_naive, calibration)
     results = run_bench(args, naive_refs)
 
+    problems = []
     if naive_refs is not None or not args.indexed_only:
         problems = check_acceptance(results)
-        for p in problems:
-            print(f"FAIL: {p}")
-        if problems:
-            return 1
-
-    if args.update:
-        write_baseline(args.update, args, calibration, results)
-    if args.check:
-        return check_baseline(args.check, args, calibration, results)
-    return 0
+    payload = {
+        **PROTOCOL,
+        "calibration_seconds": round(calibration, 4),
+        "total_indexed_seconds": round(
+            sum(r["indexed_seconds"] for r in results.values()), 4
+        ),
+        "kernels": results,
+    }
+    return gate.conclude(
+        args, "compile-time", payload, tuple(PROTOCOL), problems,
+        lambda base: compare(base, calibration, results),
+    )
 
 
 if __name__ == "__main__":

@@ -8,181 +8,100 @@ the whole record/replay loop end to end:
 
 1. **Record** — a fresh single-worker stack executes a grid of distinct
    workload specs submitted over HTTP; the drained store is recorded
-   into a session file (``repro.replay.record_store``).
-2. **Traffic** — a fresh ``--workers``-process fleet (default 3) is
-   driven by ``ReplayEngine.drive``: the recording amplified across
-   ``--amplify`` client threads with seeded spec mutation for
-   cache-miss realism, no pacing (maximum pressure).  Throughput and
-   submit-to-done latency come from the TrafficReport.
+   as a session (``repro.replay.record_store``).
+2. **Traffic** — a fresh ``WORKERS``-process fleet (3) is driven by
+   ``ReplayEngine.drive``: the recording amplified across ``AMPLIFY``
+   client threads with seeded spec mutation for cache-miss realism, no
+   pacing (maximum pressure).  Throughput and submit-to-done latency
+   come from the TrafficReport.
 3. **Diff** — the recording is replayed 1x against the same fleet
    endpoint and every result digest must match the recording exactly
    (zero divergences): the determinism contract holds across process
    boundaries, worker fleets, and the HTTP transport.
 
-Usage::
+Usage (from the repository root, ``PYTHONPATH=src``)::
 
-    python benchmarks/bench_replay.py                      # measure + report
-    python benchmarks/bench_replay.py --update benchmarks/BENCH_replay.json
-    python benchmarks/bench_replay.py --check benchmarks/BENCH_replay.json
+    python -m benchmarks.bench_replay                      # measure + report
+    python -m benchmarks.bench_replay --update benchmarks/BENCH_replay.json
+    python -m benchmarks.bench_replay --check benchmarks/BENCH_replay.json
 
 ``--check`` re-measures and fails (exit 1) when the fleet's calibrated
-jobs/sec drops more than ``--tolerance`` (default 0.25) below the
-committed baseline — raw numbers are never compared across machines;
-the baseline is rescaled by the pure-python calibration-loop ratio
-first, the scheme every gate in this repo uses.  Any diff-replay
-divergence fails the run unconditionally.  A missing baseline file is
-a graceful skip (exit 0), so the gate can land before the baseline.
+jobs/sec drops more than ``gate.TOLERANCE`` (25 %) below the committed
+baseline (rescaled by the calibration-loop ratio first, see
+``benchmarks/gate.py``).  Every run fails unconditionally on a lost or
+failed request, missing coalescing or mutation, or any diff-replay
+divergence.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import shutil
 import sys
-import tempfile
-import threading
 import time
-from pathlib import Path
 
 from repro.replay import ReplayEngine, Session, record_store
 from repro.serve.client import ServeClient
-from repro.serve.http import make_server
-from repro.serve.scheduler import SchedulerConfig
-from repro.serve.service import ReproService
 
-#: the recorded grid: registered workloads at smoke scales (cheap per
-#: execution, real compile+simulate work) — same shape bench_serve uses.
-WORKLOADS = ("stencil1d", "mm", "spmv", "attention", "mlp")
-SCALES = (0.04, 0.05, 0.06)
-PROTOCOL_VERSION = 1
+from benchmarks import gate
 
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-def _calibrate(rounds: int = 3) -> float:
-    """Seconds for a fixed pure-python loop: the machine-speed yardstick."""
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        acc = 0
-        for i in range(2_000_000):
-            acc += i * 3 % 7
-        best = min(best, time.perf_counter() - t0)
-    return best
+#: distinct specs in the seed recording
+RECORDED = 15
+#: client clones of the recording in the traffic phase
+AMPLIFY = 3
+#: seeded per-request mutation probability for amplified clients
+MUTATE = 0.3
+TENANTS = 4
+#: fleet size for the traffic phase
+WORKERS = 3
+SEED = 0
+PROTOCOL = {
+    "version": 1,
+    "recorded": RECORDED,
+    "amplify": AMPLIFY,
+    "mutate": MUTATE,
+    "tenants": TENANTS,
+    "workers": WORKERS,
+    "seed": SEED,
+    "workloads": list(gate.WORKLOADS),
+    "scales": list(gate.SCALES),
+}
 
 
-class _Stack:
-    """A serve stack (service + HTTP server) on a throwaway store."""
-
-    def __init__(self, workers: int, max_running: int) -> None:
-        self.root = Path(tempfile.mkdtemp(prefix=f"bench_replay_{workers}w_"))
-        self.service = ReproService(
-            root=str(self.root),
-            config=SchedulerConfig(
-                max_queued=10_000,
-                max_running=max_running,
-                lease_duration=60.0,
-            ),
-            jobs=1,
-            fsync=False,
-            workers=workers,
-        )
-        self.httpd = make_server(self.service, port=0)
-        self.thread = threading.Thread(
-            target=self.httpd.serve_forever, daemon=True
-        )
-        self.thread.start()
-        host, port = self.httpd.server_address[:2]
-        self.base_url = f"http://{host}:{port}"
-        self.service.start()
-        ServeClient(self.base_url, timeout=60.0).wait_until_healthy(
-            timeout=30.0
-        )
-
-    def drain(self, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            counts = self.service.store.counts()
-            if counts["queued"] + counts["running"] == 0:
-                return
-            time.sleep(0.2)
-        raise SystemExit(
-            f"drain timeout: {self.service.store.counts()} after "
-            f"{timeout:.0f}s"
-        )
-
-    def stop(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        self.service.shutdown()
-        shutil.rmtree(self.root, ignore_errors=True)
-
-
-def record_seed_session(args, path: Path) -> Session:
+def record_seed_session() -> Session:
     """Phase 1: run the spec grid on a single-worker stack, record it."""
-    stack = _Stack(workers=0, max_running=1)
-    try:
+    with gate.ServeStack(0) as stack:
         client = ServeClient(stack.base_url, timeout=60.0)
-        for i in range(args.recorded):
-            workload = WORKLOADS[i % len(WORKLOADS)]
-            scale = SCALES[(i // len(WORKLOADS)) % len(SCALES)]
-            client.submit(
-                {
-                    "kind": "workload",
-                    "workload": workload,
-                    "paradigm": "inf-s",
-                    # disambiguate past the template grid so every
-                    # recorded job is a distinct execution
-                    "scale": scale
-                    + (i // (len(WORKLOADS) * len(SCALES))) * 1e-4,
-                    "system": "small-test",
-                },
-                tenant=f"tenant-{i % args.tenants}",
-            )
-        stack.drain(args.drain_timeout)
-        session = record_store(
+        for i in range(RECORDED):
+            client.submit(gate.grid_spec(i), tenant=f"tenant-{i % TENANTS}")
+        stack.drain()
+        return record_store(
             stack.service.store,
-            seeds={"mutation": args.seed, "think_time": args.seed},
+            seeds={"mutation": SEED, "think_time": SEED},
             meta={"benchmark": "bench_replay"},
         )
-    finally:
-        stack.stop()
-    session.dump(path)
-    return session
 
 
-def run_traffic(args, session: Session) -> tuple[dict, dict]:
+def run_traffic(session: Session) -> tuple[dict, dict]:
     """Phases 2+3: amplified traffic, then the 1x diff gate, one fleet."""
-    stack = _Stack(workers=args.workers, max_running=max(args.workers, 1))
     engine = ReplayEngine(session)
-    try:
+    with gate.ServeStack(WORKERS) as stack:
         t0 = time.perf_counter()
         traffic = engine.drive(
             stack.base_url,
             speed=0.0,  # no pacing: maximum sustained pressure
-            amplify=args.amplify,
-            mutate_frac=args.mutate,
-            timeout=args.drain_timeout,
+            amplify=AMPLIFY,
+            mutate_frac=MUTATE,
+            timeout=gate.DRAIN_TIMEOUT_S,
         )
         traffic_wall = time.perf_counter() - t0
-        stack.drain(args.drain_timeout)
+        stack.drain()
         stats = stack.service.fleet_stats()
         diff = engine.replay(
             client=ServeClient(stack.base_url, timeout=60.0),
-            timeout=args.drain_timeout,
+            timeout=gate.DRAIN_TIMEOUT_S,
         )
-    finally:
-        stack.stop()
     row = {
-        "workers": args.workers,
-        "amplify": args.amplify,
+        "workers": WORKERS,
+        "amplify": AMPLIFY,
         "recorded_jobs": len(session.jobs),
         "submitted": traffic.submitted,
         "mutated": traffic.mutated,
@@ -206,7 +125,7 @@ def run_traffic(args, session: Session) -> tuple[dict, dict]:
     return row, diff_row
 
 
-def verify(args, traffic: dict, diff: dict) -> list[str]:
+def verify(traffic: dict, diff: dict) -> list[str]:
     problems = []
     if traffic["failed"]:
         problems.append(f"{traffic['failed']} replayed jobs failed")
@@ -215,19 +134,18 @@ def verify(args, traffic: dict, diff: dict) -> list[str]:
             f"only {traffic['done']}/{traffic['submitted']} "
             "submissions completed"
         )
-    expected = args.recorded * args.amplify
+    expected = RECORDED * AMPLIFY
     if traffic["submitted"] != expected:
         problems.append(
             f"amplification lost requests: {traffic['submitted']} "
-            f"submitted, expected {args.recorded} x {args.amplify} "
-            f"= {expected}"
+            f"submitted, expected {RECORDED} x {AMPLIFY} = {expected}"
         )
-    if args.amplify > 1 and traffic["coalesce_hits"] <= 0:
+    if traffic["coalesce_hits"] <= 0:
         problems.append(
             "amplified traffic produced no coalescing hits "
             "(un-mutated clones must coalesce)"
         )
-    if args.mutate > 0 and traffic["mutated"] <= 0:
+    if traffic["mutated"] <= 0:
         problems.append("mutation enabled but no request was mutated")
     if diff["divergences"]:
         problems.append(
@@ -237,117 +155,42 @@ def verify(args, traffic: dict, diff: dict) -> list[str]:
     return problems
 
 
-# ----------------------------------------------------------------------
-# Baseline handling (calibrated, graceful-skip — the house scheme)
-# ----------------------------------------------------------------------
-def _protocol(args) -> dict:
-    return {
-        "version": PROTOCOL_VERSION,
-        "recorded": args.recorded,
-        "amplify": args.amplify,
-        "mutate": args.mutate,
-        "tenants": args.tenants,
-        "workers": args.workers,
-        "seed": args.seed,
-        "workloads": list(WORKLOADS),
-        "scales": list(SCALES),
-    }
-
-
-def write_baseline(
-    path: Path, args, calibration: float, traffic: dict, diff: dict
-) -> None:
-    payload = {
-        "protocol": _protocol(args),
-        "cpu_count": _cpus(),
-        "calibration_seconds": round(calibration, 4),
-        "traffic": traffic,
-        "diff": diff,
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"baseline written to {path}")
-
-
-def check_baseline(
-    path: Path, args, calibration: float, traffic: dict
-) -> int:
-    if not path.exists():
-        print(f"no baseline at {path}; skipping regression check")
-        return 0
-    base = json.loads(path.read_text())
-    if base.get("protocol") != _protocol(args):
-        print(
-            "baseline was recorded under a different protocol; "
-            "skipping regression check"
-        )
-        return 0
+def compare(base: dict, calibration: float, traffic: dict) -> list[str]:
     cal_ratio = calibration / base["calibration_seconds"]
-    floor = (
-        base["traffic"]["jobs_per_sec"] / cal_ratio * (1.0 - args.tolerance)
-    )
+    band = 1.0 - gate.TOLERANCE
+    floor = base["traffic"]["jobs_per_sec"] / cal_ratio * band
     print(
         f"replay traffic {traffic['jobs_per_sec']:.2f} jobs/s; calibrated "
         f"floor {floor:.2f} (baseline "
         f"{base['traffic']['jobs_per_sec']:.2f} / cal {cal_ratio:.2f} "
-        f"x {1.0 - args.tolerance:.2f})"
+        f"x {band:.2f})"
     )
     if traffic["jobs_per_sec"] < floor:
-        print(
-            f"FAIL: replay throughput regression: "
+        return [
+            f"replay throughput regression: "
             f"{traffic['jobs_per_sec']:.2f} < {floor:.2f} jobs/s "
-            f"(-{args.tolerance:.0%} band)"
-        )
-        return 1
-    print("replay throughput regression check passed")
-    return 0
+            f"(-{gate.TOLERANCE:.0%} band)"
+        ]
+    return []
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--recorded", type=int, default=15,
-                    help="distinct specs in the seed recording")
-    ap.add_argument("--amplify", type=int, default=3,
-                    help="client clones of the recording in the traffic "
-                         "phase")
-    ap.add_argument("--mutate", type=float, default=0.3,
-                    help="seeded per-request mutation probability for "
-                         "amplified clients")
-    ap.add_argument("--tenants", type=int, default=4)
-    ap.add_argument("--workers", type=int, default=3,
-                    help="fleet size for the traffic phase")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--drain-timeout", type=float, default=900.0)
-    ap.add_argument("--session", type=Path, default=None,
-                    help="keep the recorded session file here "
-                         "(default: a temp file, deleted)")
-    ap.add_argument("--update", type=Path, help="write the baseline JSON here")
-    ap.add_argument("--check", type=Path, help="compare against this baseline")
-    ap.add_argument("--tolerance", type=float, default=0.25)
-    args = ap.parse_args()
-
-    calibration = _calibrate()
+    args = gate.parser(__doc__).parse_args()
+    calibration = gate.calibrate()
     print(
         f"calibration {calibration * 1e3:.1f}ms  "
-        f"{args.recorded} recorded specs  x{args.amplify} amplify  "
-        f"{args.mutate:.0%} mutation  {args.workers} workers"
+        f"{RECORDED} recorded specs  x{AMPLIFY} amplify  "
+        f"{MUTATE:.0%} mutation  {WORKERS} workers"
     )
-
-    session_path = args.session or Path(
-        tempfile.mkstemp(prefix="bench_replay_", suffix=".jsonl")[1]
+    t0 = time.perf_counter()
+    session = record_seed_session()
+    print(
+        f"record  {len(session.jobs)} jobs -> "
+        f"{session.header.session_id} "
+        f"({time.perf_counter() - t0:.1f}s)",
+        flush=True,
     )
-    try:
-        t0 = time.perf_counter()
-        session = record_seed_session(args, session_path)
-        print(
-            f"record  {len(session.jobs)} jobs -> "
-            f"{session.header.session_id} "
-            f"({time.perf_counter() - t0:.1f}s)",
-            flush=True,
-        )
-        traffic, diff = run_traffic(args, session)
-    finally:
-        if args.session is None:
-            session_path.unlink(missing_ok=True)
+    traffic, diff = run_traffic(session)
     print(
         f"traffic {traffic['workers']}w  {traffic['done']:>4} jobs  "
         f"{traffic['jobs_per_sec']:>8} jobs/s  "
@@ -364,18 +207,18 @@ def main() -> int:
         f"{diff['divergences']} divergences",
         flush=True,
     )
-
-    problems = verify(args, traffic, diff)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    if problems:
-        return 1
-
-    if args.update:
-        write_baseline(args.update, args, calibration, traffic, diff)
-    if args.check:
-        return check_baseline(args.check, args, calibration, traffic)
-    return 0
+    payload = {
+        "protocol": PROTOCOL,
+        "cpu_count": gate.cpus(),
+        "calibration_seconds": round(calibration, 4),
+        "traffic": traffic,
+        "diff": diff,
+    }
+    return gate.conclude(
+        args, "replay throughput", payload, ("protocol",),
+        verify(traffic, diff),
+        lambda base: compare(base, calibration, traffic),
+    )
 
 
 if __name__ == "__main__":

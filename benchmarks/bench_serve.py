@@ -7,16 +7,15 @@ mixed tenants, duplicate-heavy (the coalescing-friendly shape of real
 reproduction traffic, where many users ask for the same figure), drained
 by an N-process worker fleet under lease-based claims.  Maintains the
 committed ``benchmarks/BENCH_serve.json`` baseline that CI gates
-against — the service-side sibling of ``bench_compile_time.py`` and
-``bench_sim_time.py``.
+against.
 
-Usage::
+Usage (from the repository root, ``PYTHONPATH=src``)::
 
-    python benchmarks/bench_serve.py                      # measure + report
-    python benchmarks/bench_serve.py --update benchmarks/BENCH_serve.json
-    python benchmarks/bench_serve.py --check benchmarks/BENCH_serve.json
+    python -m benchmarks.bench_serve                      # measure + report
+    python -m benchmarks.bench_serve --update benchmarks/BENCH_serve.json
+    python -m benchmarks.bench_serve --check benchmarks/BENCH_serve.json
 
-Two trials per measurement: the fleet (``--workers``, default 3) and a
+Two trials per measurement: the fleet (``WORKERS`` = 3) and a
 single-worker baseline, over identical traffic.  Latency per job is
 ``finished_at - submitted_at`` from the server's own clock (no polling
 quantization); throughput is completed jobs over the span from first
@@ -24,10 +23,9 @@ submission to last completion, worker-process startup included.
 
 ``--check`` re-measures and fails (exit 1) when either
 
-* the fleet's calibrated jobs/sec drops more than ``--tolerance``
-  (default 0.25) below the baseline (raw numbers are not comparable
-  across machines, so the baseline is rescaled by the pure-python
-  calibration-loop ratio first, the scheme every gate here uses), or
+* the fleet's calibrated jobs/sec drops more than ``gate.TOLERANCE``
+  (25 %) below the baseline (rescaled by the calibration-loop ratio
+  first, see ``benchmarks/gate.py``), or
 * the fleet no longer beats the single-worker trial on jobs/sec — a
   machine-speed-independent invariant, since both trials share a run.
   Jobs are CPU-bound, so this only holds where there are CPUs to
@@ -40,119 +38,67 @@ submission to last completion, worker-process startup included.
 
 Every run additionally hard-fails unless duplicate submissions were
 actually coalesced (hit-rate > 0) and every submitter of a duplicate
-received a byte-identical result.  A missing baseline file is a
-graceful skip (exit 0), so the gate can land before the baseline does.
+received a byte-identical result.  Latency (p50/p99) is reported and
+recorded, not gated.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
 import random
-import shutil
 import sys
-import tempfile
 import threading
 import time
-from pathlib import Path
 
 from repro.serve.client import ServeClient
-from repro.serve.http import make_server
-from repro.serve.scheduler import SchedulerConfig
-from repro.serve.service import ReproService
 
-#: distinct job templates: registered zoo/Table-3 workloads at smoke
-#: scales — cheap enough to push thousands of submissions through, real
-#: enough to exercise compile + simulate per execution.
-WORKLOADS = ("stencil1d", "mm", "spmv", "attention", "mlp")
-SCALES = (0.04, 0.05, 0.06)
-PROTOCOL_VERSION = 1
+from benchmarks import gate
 
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-def _calibrate(rounds: int = 3) -> float:
-    """Seconds for a fixed pure-python loop: the machine-speed yardstick."""
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        acc = 0
-        for i in range(2_000_000):
-            acc += i * 3 % 7
-        best = min(best, time.perf_counter() - t0)
-    return best
+SUBMISSIONS = 2000
+#: fraction of submissions that duplicate another
+DUPLICATE_FRAC = 0.85
+TENANTS = 4
+#: concurrent HTTP submitter threads
+THREADS = 24
+#: fleet size for the fleet trial
+WORKERS = 3
+SEED = 0
+PROTOCOL = {
+    "version": 1,
+    "submissions": SUBMISSIONS,
+    "duplicate_frac": DUPLICATE_FRAC,
+    "tenants": TENANTS,
+    "threads": THREADS,
+    "seed": SEED,
+    "workloads": list(gate.WORKLOADS),
+    "scales": list(gate.SCALES),
+}
 
 
-def build_traffic(args) -> list[tuple[dict, str]]:
+def build_traffic() -> list[tuple[dict, str]]:
     """(spec, tenant) per submission: duplicate-heavy, mixed tenants."""
-    rng = random.Random(args.seed)
-    distinct = max(1, round(args.submissions * (1.0 - args.duplicate_frac)))
-    pool = []
-    for i in range(distinct):
-        workload = WORKLOADS[i % len(WORKLOADS)]
-        scale = SCALES[(i // len(WORKLOADS)) % len(SCALES)]
-        # A per-template iterations-style disambiguator is unnecessary:
-        # (workload, scale) pairs repeat across the pool only when the
-        # pool outgrows the template grid, which is the duplicate-heavy
-        # intent anyway.
-        pool.append(
-            {
-                "kind": "workload",
-                "workload": workload,
-                "paradigm": "inf-s",
-                "scale": scale + (i // (len(WORKLOADS) * len(SCALES))) * 1e-4,
-                "system": "small-test",
-            }
-        )
+    rng = random.Random(SEED)
+    distinct = round(SUBMISSIONS * (1.0 - DUPLICATE_FRAC))
+    pool = [gate.grid_spec(i) for i in range(distinct)]
     traffic = [
-        (dict(pool[i % len(pool)]), f"tenant-{rng.randrange(args.tenants)}")
-        for i in range(args.submissions)
+        (dict(pool[i % len(pool)]), f"tenant-{rng.randrange(TENANTS)}")
+        for i in range(SUBMISSIONS)
     ]
     rng.shuffle(traffic)
     return traffic
 
 
-def run_trial(args, workers: int, traffic) -> dict:
+def run_trial(workers: int, traffic) -> dict:
     """One load-test trial against a fresh store; its summary row."""
-    root = Path(tempfile.mkdtemp(prefix=f"bench_serve_{workers}w_"))
-    service = ReproService(
-        root=str(root),
-        config=SchedulerConfig(
-            max_queued=max(10 * args.submissions, 1000),
-            max_running=max(workers, 1),
-            lease_duration=60.0,
-        ),
-        jobs=1,
-        fsync=False,
-        workers=workers,
-    )
-    httpd = make_server(service, port=0)
-    http_thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    http_thread.start()
-    host, port = httpd.server_address[:2]
-    base_url = f"http://{host}:{port}"
-    service.start()
-    try:
-        return _drive(args, workers, traffic, service, base_url)
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        service.shutdown()
-        shutil.rmtree(root, ignore_errors=True)
+    with gate.ServeStack(workers) as stack:
+        return _drive(workers, traffic, stack)
 
 
-def _drive(args, workers: int, traffic, service, base_url: str) -> dict:
+def _drive(workers: int, traffic, stack: gate.ServeStack) -> dict:
     # Warm up before measuring: distinct throwaway jobs (scales outside
     # the measured grid, so nothing coalesces against them) prove the
     # worker processes are imported, polling, and compiling.
-    warm = ServeClient(base_url, timeout=60.0)
-    warm.wait_until_healthy(timeout=30.0)
+    warm = ServeClient(stack.base_url, timeout=60.0)
     warm_ids = [
         warm.submit(
             {
@@ -163,7 +109,7 @@ def _drive(args, workers: int, traffic, service, base_url: str) -> dict:
                 "system": "small-test",
             }
         )
-        for i in range(max(workers, 1))
+        for i in range(workers)
     ]
     for wid in warm_ids:
         warm.wait(wid, timeout=120.0)
@@ -174,7 +120,7 @@ def _drive(args, workers: int, traffic, service, base_url: str) -> dict:
     cursor_lock = threading.Lock()
 
     def submitter() -> None:
-        client = ServeClient(base_url, timeout=60.0)
+        client = ServeClient(stack.base_url, timeout=60.0)
         while True:
             with cursor_lock:
                 i = next(cursor, None)
@@ -196,7 +142,7 @@ def _drive(args, workers: int, traffic, service, base_url: str) -> dict:
 
     threads = [
         threading.Thread(target=submitter, daemon=True)
-        for _ in range(args.threads)
+        for _ in range(THREADS)
     ]
     t_begin = time.perf_counter()
     for t in threads:
@@ -207,19 +153,8 @@ def _drive(args, workers: int, traffic, service, base_url: str) -> dict:
     if errors:
         raise SystemExit(f"{len(errors)} submissions failed: {errors[:3]}")
 
-    # Drain: the store's counts are authoritative and cheap to poll.
-    deadline = time.monotonic() + args.drain_timeout
-    while time.monotonic() < deadline:
-        counts = service.store.counts()
-        if counts["queued"] + counts["running"] == 0:
-            break
-        time.sleep(0.2)
-    else:
-        raise SystemExit(
-            f"drain timeout: {service.store.counts()} after "
-            f"{args.drain_timeout:.0f}s"
-        )
-
+    stack.drain()
+    service = stack.service
     jobs = {j.job_id: j for j in service.store.jobs()}
     done = [jobs[jid] for jid in job_ids if jid and jobs[jid].result]
     failed = [
@@ -267,14 +202,14 @@ def _drive(args, workers: int, traffic, service, base_url: str) -> dict:
     return row
 
 
-def verify(args, row: dict) -> list[str]:
+def verify(row: dict) -> list[str]:
     problems = []
     if row["result_mismatches"]:
         problems.append(
             f"{row['result_mismatches']} duplicate submitters got "
             "non-identical results"
         )
-    if args.duplicate_frac > 0 and row["coalesce_hits"] <= 0:
+    if row["coalesce_hits"] <= 0:
         problems.append("duplicate-heavy traffic produced no coalescing hits")
     return problems
 
@@ -292,76 +227,28 @@ def _report(label: str, row: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Baseline handling
+# Baseline comparison
 # ----------------------------------------------------------------------
-def _protocol(args) -> dict:
-    return {
-        "version": PROTOCOL_VERSION,
-        "submissions": args.submissions,
-        "duplicate_frac": args.duplicate_frac,
-        "tenants": args.tenants,
-        "threads": args.threads,
-        "seed": args.seed,
-        "workloads": list(WORKLOADS),
-        "scales": list(SCALES),
-    }
-
-
-def write_baseline(
-    path: Path, args, calibration: float, fleet: dict, single: dict
-) -> None:
-    payload = {
-        "protocol": _protocol(args),
-        "cpu_count": _cpus(),
-        "calibration_seconds": round(calibration, 4),
-        "fleet": fleet,
-        "single": single,
-        "fleet_speedup_vs_single": round(
-            fleet["jobs_per_sec"] / single["jobs_per_sec"], 2
-        ),
-    }
-    if payload["cpu_count"] <= 1:
-        payload["note"] = (
-            "recorded on a single-CPU machine: the CPU-bound job mix "
-            "cannot scale across worker processes, so the speedup "
-            "reflects fleet coordination overhead; on multi-core "
-            "machines the check requires fleet > single"
-        )
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"baseline written to {path}")
-
-
-def check_baseline(
-    path: Path, args, calibration: float, fleet: dict, single: dict
-) -> int:
-    if not path.exists():
-        print(f"no baseline at {path}; skipping regression check")
-        return 0
-    base = json.loads(path.read_text())
-    if base.get("protocol") != _protocol(args):
-        print(
-            "baseline was recorded under a different protocol; "
-            "skipping regression check"
-        )
-        return 0
+def compare(
+    base: dict, calibration: float, fleet: dict, single: dict
+) -> list[str]:
     cal_ratio = calibration / base["calibration_seconds"]
     # A slower machine (cal_ratio > 1) is allowed proportionally lower
     # throughput before the tolerance band applies.
-    floor = (
-        base["fleet"]["jobs_per_sec"] / cal_ratio * (1.0 - args.tolerance)
-    )
+    band = 1.0 - gate.TOLERANCE
+    floor = base["fleet"]["jobs_per_sec"] / cal_ratio * band
     print(
         f"fleet {fleet['jobs_per_sec']:.2f} jobs/s; calibrated floor "
         f"{floor:.2f} (baseline {base['fleet']['jobs_per_sec']:.2f} "
-        f"/ cal {cal_ratio:.2f} x {1.0 - args.tolerance:.2f})"
+        f"/ cal {cal_ratio:.2f} x {band:.2f})"
     )
     failures = []
     if fleet["jobs_per_sec"] < floor:
         failures.append(
             f"fleet throughput regression: {fleet['jobs_per_sec']:.2f} "
-            f"< {floor:.2f} jobs/s (-{args.tolerance:.0%} band)"
+            f"< {floor:.2f} jobs/s (-{gate.TOLERANCE:.0%} band)"
         )
-    cpus = _cpus()
+    cpus = gate.cpus()
     if cpus > 1 and fleet["jobs_per_sec"] <= single["jobs_per_sec"]:
         failures.append(
             f"fleet no longer beats single worker on {cpus} CPUs: "
@@ -374,67 +261,56 @@ def check_baseline(
             f"{fleet['jobs_per_sec']:.2f} < 0.6 x "
             f"{single['jobs_per_sec']:.2f} jobs/s"
         )
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    if failures:
-        return 1
-    print("serve throughput regression check passed")
-    return 0
+    return failures
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--submissions", type=int, default=2000)
-    ap.add_argument("--duplicate-frac", type=float, default=0.85,
-                    help="fraction of submissions that duplicate another")
-    ap.add_argument("--tenants", type=int, default=4)
-    ap.add_argument("--threads", type=int, default=24,
-                    help="concurrent HTTP submitter threads")
-    ap.add_argument("--workers", type=int, default=3,
-                    help="fleet size for the fleet trial")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--drain-timeout", type=float, default=900.0)
-    ap.add_argument("--update", type=Path, help="write the baseline JSON here")
-    ap.add_argument("--check", type=Path, help="compare against this baseline")
-    ap.add_argument("--tolerance", type=float, default=0.25)
-    args = ap.parse_args()
-
-    calibration = _calibrate()
+    args = gate.parser(__doc__).parse_args()
+    calibration = gate.calibrate()
     print(
         f"calibration {calibration * 1e3:.1f}ms  "
-        f"{args.submissions} submissions  "
-        f"{args.duplicate_frac:.0%} duplicates  {args.tenants} tenants  "
-        f"{args.threads} threads"
+        f"{SUBMISSIONS} submissions  "
+        f"{DUPLICATE_FRAC:.0%} duplicates  {TENANTS} tenants  "
+        f"{THREADS} threads"
     )
-    traffic = build_traffic(args)
-    fleet = run_trial(args, args.workers, traffic)
+    traffic = build_traffic()
+    fleet = run_trial(WORKERS, traffic)
     _report("fleet", fleet)
-    single = run_trial(args, 1, traffic)
+    single = run_trial(1, traffic)
     _report("single", single)
     print(
         f"speedup {fleet['jobs_per_sec'] / single['jobs_per_sec']:.2f}x "
-        f"({args.workers} workers vs 1, {_cpus()} CPUs)"
+        f"({WORKERS} workers vs 1, {gate.cpus()} CPUs)"
     )
-    if _cpus() <= 1:
+    payload = {
+        "protocol": PROTOCOL,
+        "cpu_count": gate.cpus(),
+        "calibration_seconds": round(calibration, 4),
+        "fleet": fleet,
+        "single": single,
+        "fleet_speedup_vs_single": round(
+            fleet["jobs_per_sec"] / single["jobs_per_sec"], 2
+        ),
+    }
+    if payload["cpu_count"] <= 1:
         print(
             "note: single-CPU machine — the CPU-bound job mix cannot "
             "scale across workers here; the speedup measures fleet "
             "coordination overhead, not parallelism"
         )
-
-    problems = [
-        f"fleet: {p}" for p in verify(args, fleet)
-    ] + [f"single: {p}" for p in verify(args, single)]
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    if problems:
-        return 1
-
-    if args.update:
-        write_baseline(args.update, args, calibration, fleet, single)
-    if args.check:
-        return check_baseline(args.check, args, calibration, fleet, single)
-    return 0
+        payload["note"] = (
+            "recorded on a single-CPU machine: the CPU-bound job mix "
+            "cannot scale across worker processes, so the speedup "
+            "reflects fleet coordination overhead; on multi-core "
+            "machines the check requires fleet > single"
+        )
+    problems = [f"fleet: {p}" for p in verify(fleet)] + [
+        f"single: {p}" for p in verify(single)
+    ]
+    return gate.conclude(
+        args, "serve throughput", payload, ("protocol",), problems,
+        lambda base: compare(base, calibration, fleet, single),
+    )
 
 
 if __name__ == "__main__":

@@ -706,6 +706,10 @@ def cmd_figures(args) -> int:
 
 def _add_kernel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("kernel", help="kernel source file ('-' for stdin)")
+    _add_binding_args(p)
+
+
+def _add_binding_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--array",
         action="append",
@@ -721,6 +725,30 @@ def _add_kernel_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--name", default=None)
     p.add_argument("--dataflow", choices=("inner", "outer"), default="inner")
+
+
+def _add_run_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--paradigm",
+        default=INF_S,
+        help="execution paradigm (see 'repro list paradigms')",
+    )
+    p.add_argument(
+        "--system",
+        default=None,
+        help="registered system config (see 'repro list systems')",
+    )
+    p.add_argument("--iterations", type=int, default=1)
+    p.add_argument(
+        "--optimize",
+        action="store_true",
+        help="run the e-graph optimizer on every region before lowering",
+    )
+    _add_optimizer_args(p)
+
+
+def _add_url_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--url", default="http://127.0.0.1:8757")
 
 
 def _add_optimizer_args(p: argparse.ArgumentParser) -> None:
@@ -794,23 +822,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("simulate", help="estimate cycles/traffic/energy")
     _add_kernel_args(p)
-    p.add_argument(
-        "--paradigm",
-        default=INF_S,
-        help="execution paradigm (see 'repro list paradigms')",
-    )
-    p.add_argument(
-        "--system",
-        default=None,
-        help="registered system config (see 'repro list systems')",
-    )
-    p.add_argument("--iterations", type=int, default=1)
-    p.add_argument(
-        "--optimize",
-        action="store_true",
-        help="run the e-graph optimizer on every region before lowering",
-    )
-    _add_optimizer_args(p)
+    _add_run_args(p)
     _add_instrumentation_args(p)
     p.set_defaults(fn=cmd_simulate)
 
@@ -928,36 +940,15 @@ def main(argv: list[str] | None = None) -> int:
                         "(see 'repro list workloads')")
     p.add_argument("--scale", type=float, default=1.0,
                    help="campaign/workload input-size scale")
-    p.add_argument("--array", action="append", default=[],
-                   help="array declaration NAME:D0,D1,... (C order)")
-    p.add_argument("-p", "--param", action="append", default=[],
-                   help="size/constant binding NAME=VALUE")
-    p.add_argument("--name", default=None)
-    p.add_argument("--dataflow", choices=("inner", "outer"), default="inner")
-    p.add_argument(
-        "--paradigm",
-        default=INF_S,
-        help="execution paradigm (see 'repro list paradigms')",
-    )
-    p.add_argument(
-        "--system",
-        default=None,
-        help="registered system config (see 'repro list systems')",
-    )
-    p.add_argument("--iterations", type=int, default=1)
-    p.add_argument(
-        "--optimize",
-        action="store_true",
-        help="run the e-graph optimizer on every region before lowering",
-    )
-    _add_optimizer_args(p)
+    _add_binding_args(p)
+    _add_run_args(p)
     p.add_argument("--priority", type=int, default=0,
                    help="higher runs first (FIFO within a level)")
     p.add_argument("--tenant", default=None,
                    help="fair-share/quota accounting key "
                         "(default: 'default')")
     p.add_argument("--max-attempts", type=int, default=None)
-    p.add_argument("--url", default="http://127.0.0.1:8757")
+    _add_url_arg(p)
     p.add_argument("--wait", action="store_true",
                    help="poll until the job finishes; print its result")
     p.add_argument("--timeout", type=float, default=300.0,
@@ -966,14 +957,14 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("status", help="list jobs or show one job")
     p.add_argument("job_id", nargs="?", default=None)
-    p.add_argument("--url", default="http://127.0.0.1:8757")
+    _add_url_arg(p)
     p.add_argument("--result", action="store_true",
                    help="also fetch and print the job's result")
     p.set_defaults(fn=cmd_status)
 
     p = sub.add_parser("cancel", help="cancel a queued or running job")
     p.add_argument("job_id")
-    p.add_argument("--url", default="http://127.0.0.1:8757")
+    _add_url_arg(p)
     p.set_defaults(fn=cmd_cancel)
 
     p = sub.add_parser(

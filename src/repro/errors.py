@@ -126,7 +126,7 @@ class PointExecutionError(SimulationError):
 class ExecutionCancelled(SimulationError):
     """A point map was cancelled between points (repro.exec.pool).
 
-    Raised when the executor's ``cancel_event`` fires; ``completed``
+    Raised when the executor's ``_cancelled()`` turns true; ``completed``
     counts the spec-order prefix of points that finished (and whose
     results the executor recorded in ``partial_results``) before the
     cancellation took effect.

@@ -120,7 +120,7 @@ class FileLock:
 
         A process killed after creating its private ``*.tmp`` claim
         file and before unlinking it leaves that file behind, which
-        nothing reads.
+        nothing reads; :meth:`sweep_dead_claims` removes it.
         """
         claim = f"{self.path}.{token.replace(':', '-')}.tmp"
         fd = os.open(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
@@ -144,6 +144,14 @@ class FileLock:
                 os.unlink(self.path)
             except OSError:
                 pass
+
+    def sweep_dead_claims(self) -> None:
+        """Unlink the private claim files of processes that are gone."""
+        prefix = f"{self.path.name}."
+        for claim in self.path.parent.glob(f"{prefix}*.tmp"):
+            pid = claim.name[len(prefix):].split("-", 1)[0]
+            if self._holder_alive(f"{pid}:") is False:
+                claim.unlink(missing_ok=True)
 
     @staticmethod
     def _holder_alive(claim: str) -> bool | None:

@@ -56,8 +56,8 @@ class PointExecutor:
     """Run independent simulation points, serially or across processes.
 
     **Interruption contract** (the serve layer's checkpoints depend on
-    it): when a map is cut short — ``KeyboardInterrupt``, or the
-    optional ``cancel_event`` firing between points — the executor
+    it): when a map is cut short — ``KeyboardInterrupt``, or
+    :meth:`_cancelled` turning true between points — the executor
     records the spec-order prefix of completed results in
     ``partial_results`` *before* re-raising (``KeyboardInterrupt``
     propagates unchanged; cancellation raises
@@ -68,16 +68,14 @@ class PointExecutor:
 
     jobs: int = 1
     sections: list[SectionTiming] = field(default_factory=list)
-    #: optional cooperative-cancellation flag (any object with a
-    #: ``is_set() -> bool`` method, e.g. ``threading.Event``), polled
-    #: between points.
-    cancel_event: object | None = None
     #: spec-order prefix of results completed before the most recent
     #: interruption (None when the last map finished normally).
     partial_results: list | None = field(default=None, repr=False)
 
     def _cancelled(self) -> bool:
-        return self.cancel_event is not None and self.cancel_event.is_set()
+        """Polled between points; a subclass that can be cancelled (the
+        serve executor) overrides it."""
+        return False
 
     def map(
         self,
@@ -135,7 +133,7 @@ class PointExecutor:
             if self._cancelled():
                 self.partial_results = list(results)
                 raise ExecutionCancelled(
-                    "cancel_event set", section=label, completed=len(results)
+                    "cancel requested", section=label, completed=len(results)
                 )
             try:
                 with metrics_mod.point_scope() as point_reg:
@@ -180,7 +178,7 @@ class PointExecutor:
             ):
                 if self._cancelled():
                     raise ExecutionCancelled(
-                        "cancel_event set",
+                        "cancel requested",
                         section=label,
                         completed=len(results),
                     )

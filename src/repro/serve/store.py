@@ -88,6 +88,7 @@ class JobStore:
         self._wal: io.TextIOWrapper | None = None
         # Torn-tail repair writes to the WAL: take the mutex for it.
         with self._file_lock:
+            self._sweep_orphans()
             self._load()
         self._open_wal()
 
@@ -105,6 +106,18 @@ class JobStore:
     @property
     def epoch_path(self) -> Path:
         return self.root / EPOCH_NAME
+
+    def _sweep_orphans(self) -> None:
+        """Remove the temp files killed processes left in the root.
+
+        Snapshot and epoch temp files are only written under the
+        mutation mutex, which the caller holds, so any found are
+        orphans; a lock claim file is one when its process is gone.
+        """
+        for pattern in ("*.snap.tmp", "*.epoch.tmp"):
+            for orphan in self.root.glob(pattern):
+                orphan.unlink(missing_ok=True)
+        self._file_lock.sweep_dead_claims()
 
     def _open_wal(self) -> None:
         self._wal = open(self.wal_path, "a", encoding="utf-8")

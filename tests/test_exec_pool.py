@@ -97,6 +97,18 @@ def _raise_interrupt_at(arg):
     return x * x
 
 
+class _CancellableExecutor(PointExecutor):
+    """Cancelled through the ``_cancelled()`` seam the serve executor
+    overrides: here, once *event* is set."""
+
+    def __init__(self, jobs: int, event) -> None:
+        super().__init__(jobs=jobs)
+        self.event = event
+
+    def _cancelled(self) -> bool:
+        return self.event.is_set()
+
+
 class TestInterruption:
     """The serve layer's checkpoint contract (ISSUE 4 pool satellite)."""
 
@@ -107,7 +119,7 @@ class TestInterruption:
 
         event = threading.Event()
         event.set()
-        ex = PointExecutor(jobs=1, cancel_event=event)
+        ex = _CancellableExecutor(1, event)
         with pytest.raises(ExecutionCancelled) as exc:
             ex.map(_square, [1, 2, 3], section="s")
         assert exc.value.completed == 0
@@ -119,7 +131,7 @@ class TestInterruption:
         from repro.errors import ExecutionCancelled
 
         event = threading.Event()
-        ex = PointExecutor(jobs=1, cancel_event=event)
+        ex = _CancellableExecutor(1, event)
         specs = [(event, x) for x in range(6)]
         with pytest.raises(ExecutionCancelled) as exc:
             ex.map(_set_event_then_square, specs, section="s")
@@ -141,7 +153,7 @@ class TestInterruption:
 
         event = threading.Event()
         event.set()  # cancelled before any result is consumed
-        ex = PointExecutor(jobs=2, cancel_event=event)
+        ex = _CancellableExecutor(2, event)
         with pytest.raises(ExecutionCancelled):
             ex.map(_square, list(range(8)), section="s")
         assert ex.partial_results == []
@@ -153,7 +165,7 @@ class TestInterruption:
 
         event = threading.Event()
         event.set()
-        ex = PointExecutor(jobs=1, cancel_event=event)
+        ex = _CancellableExecutor(1, event)
         with pytest.raises(ExecutionCancelled):
             ex.map(_square, [1, 2], section="s")
         assert ex.partial_results == []

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import closing, contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -56,11 +57,16 @@ W = "w1"
 LONG_LEASE = 1e6
 
 
-def make_sched(tmp_path, **cfg) -> Scheduler:
+@contextmanager
+def make_sched(tmp_path, **cfg):
+    """A Scheduler on a store of its own, closed on exit."""
     store = JobStore(tmp_path / "store", fsync=False)
-    return Scheduler(
-        store, SchedulerConfig(**{"lease_duration": LONG_LEASE, **cfg})
-    )
+    try:
+        yield Scheduler(
+            store, SchedulerConfig(**{"lease_duration": LONG_LEASE, **cfg})
+        )
+    finally:
+        store.close()
 
 
 def submit_n(sched, clock, jobs):
@@ -102,47 +108,47 @@ class TestFairShareProperties:
         queued jobs is served within #tenants claims."""
         tmp = tmp_path_factory.mktemp("fair")
         clock = FakeClock()
-        sched = make_sched(tmp, max_queued=100, max_running=1)
-        submitted = submit_n(
-            sched,
-            clock,
-            [(f"t{t}", p, f"wl{i}") for i, (t, p) in enumerate(jobs)],
-        )
-        last_served: dict[str, int] = {}
-        serves = 0
-        claimed = []
-        while True:
-            pending = {
-                j.tenant for j in sched.store.jobs(JobState.QUEUED)
-            }
-            job = sched.claim_next(clock.advance(1.0), W)
-            if job is None:
-                assert not pending
-                break
-            floor = min(last_served.get(t, -1) for t in pending)
-            assert last_served.get(job.tenant, -1) == floor, (
-                f"claimed {job.tenant} but a less recently served tenant "
-                f"had queued jobs: {sorted(pending)}"
+        with make_sched(tmp, max_queued=100, max_running=1) as sched:
+            submitted = submit_n(
+                sched,
+                clock,
+                [(f"t{t}", p, f"wl{i}") for i, (t, p) in enumerate(jobs)],
             )
-            serves += 1
-            last_served[job.tenant] = serves
-            claimed.append(job.job_id)
-            sched.complete(job, {"ok": True}, clock(), W)
-        assert sorted(claimed) == sorted(j.job_id for j in submitted)
+            last_served: dict[str, int] = {}
+            serves = 0
+            claimed = []
+            while True:
+                pending = {
+                    j.tenant for j in sched.store.jobs(JobState.QUEUED)
+                }
+                job = sched.claim_next(clock.advance(1.0), W)
+                if job is None:
+                    assert not pending
+                    break
+                floor = min(last_served.get(t, -1) for t in pending)
+                assert last_served.get(job.tenant, -1) == floor, (
+                    f"claimed {job.tenant} but a less recently served tenant "
+                    f"had queued jobs: {sorted(pending)}"
+                )
+                serves += 1
+                last_served[job.tenant] = serves
+                claimed.append(job.job_id)
+                sched.complete(job, {"ok": True}, clock(), W)
+            assert sorted(claimed) == sorted(j.job_id for j in submitted)
 
     def test_flood_tenant_cannot_starve_trickle_tenant(self, tmp_path):
         """100 queued jobs from one tenant, 1 from another: the loner is
         served second, not 101st."""
         clock = FakeClock()
-        sched = make_sched(tmp_path, max_queued=200, max_running=1)
-        submit_n(
-            sched, clock, [("flood", 0, f"wl{i}") for i in range(100)]
-        )
-        submit_n(sched, clock, [("trickle", 0, "lone")])
-        first = sched.claim_next(clock.advance(1.0), W)
-        sched.complete(first, {}, clock(), W)
-        second = sched.claim_next(clock.advance(1.0), W)
-        assert {first.tenant, second.tenant} == {"flood", "trickle"}
+        with make_sched(tmp_path, max_queued=200, max_running=1) as sched:
+            submit_n(
+                sched, clock, [("flood", 0, f"wl{i}") for i in range(100)]
+            )
+            submit_n(sched, clock, [("trickle", 0, "lone")])
+            first = sched.claim_next(clock.advance(1.0), W)
+            sched.complete(first, {}, clock(), W)
+            second = sched.claim_next(clock.advance(1.0), W)
+            assert {first.tenant, second.tenant} == {"flood", "trickle"}
 
 
 # ----------------------------------------------------------------------
@@ -159,69 +165,69 @@ class TestQuotaProperties:
         n_tenants = data.draw(st.integers(1, 3), label="tenants")
         default_quota = data.draw(st.integers(1, 2), label="default_quota")
         override = data.draw(st.integers(1, 3), label="t0_quota")
-        sched = make_sched(
+        with make_sched(
             tmp,
             max_queued=100,
             max_running=50,
             max_running_per_tenant=default_quota,
             tenant_quotas=(("t0", override),),
-        )
-        jobs = data.draw(
-            st.lists(st.integers(0, n_tenants - 1), min_size=1,
-                     max_size=25),
-            label="jobs",
-        )
-        submit_n(
-            sched,
-            clock,
-            [(f"t{t}", 0, f"wl{i}") for i, t in enumerate(jobs)],
-        )
-        running: list = []
-        for step in range(200):
-            do_claim = data.draw(
-                st.booleans(), label=f"claim@{step}"
-            ) if running else True
-            if do_claim:
-                job = sched.claim_next(clock.advance(1.0), W)
-                if job is not None:
-                    running.append(job)
-                elif not running:
-                    break  # drained
-            else:
-                sched.complete(running.pop(0), {}, clock.advance(1.0), W)
-            per_tenant: dict[str, int] = {}
-            for j in sched.store.jobs(JobState.RUNNING):
-                per_tenant[j.tenant] = per_tenant.get(j.tenant, 0) + 1
-            for tenant, count in per_tenant.items():
-                assert count <= sched.tenant_quota(tenant), (
-                    f"tenant {tenant} running {count} > quota "
-                    f"{sched.tenant_quota(tenant)}"
-                )
-        # Completeness: when the picker refuses, every queued job's
-        # tenant must actually be at quota.
-        if sched.store.jobs(JobState.QUEUED):
-            assert sched.next_job(clock()) is None
-            per_tenant = {}
-            for j in sched.store.jobs(JobState.RUNNING):
-                per_tenant[j.tenant] = per_tenant.get(j.tenant, 0) + 1
-            for j in sched.store.jobs(JobState.QUEUED):
-                assert (
-                    per_tenant.get(j.tenant, 0)
-                    >= sched.tenant_quota(j.tenant)
-                )
+        ) as sched:
+            jobs = data.draw(
+                st.lists(st.integers(0, n_tenants - 1), min_size=1,
+                         max_size=25),
+                label="jobs",
+            )
+            submit_n(
+                sched,
+                clock,
+                [(f"t{t}", 0, f"wl{i}") for i, t in enumerate(jobs)],
+            )
+            running: list = []
+            for step in range(200):
+                do_claim = data.draw(
+                    st.booleans(), label=f"claim@{step}"
+                ) if running else True
+                if do_claim:
+                    job = sched.claim_next(clock.advance(1.0), W)
+                    if job is not None:
+                        running.append(job)
+                    elif not running:
+                        break  # drained
+                else:
+                    sched.complete(running.pop(0), {}, clock.advance(1.0), W)
+                per_tenant: dict[str, int] = {}
+                for j in sched.store.jobs(JobState.RUNNING):
+                    per_tenant[j.tenant] = per_tenant.get(j.tenant, 0) + 1
+                for tenant, count in per_tenant.items():
+                    assert count <= sched.tenant_quota(tenant), (
+                        f"tenant {tenant} running {count} > quota "
+                        f"{sched.tenant_quota(tenant)}"
+                    )
+            # Completeness: when the picker refuses, every queued job's
+            # tenant must actually be at quota.
+            if sched.store.jobs(JobState.QUEUED):
+                assert sched.next_job(clock()) is None
+                per_tenant = {}
+                for j in sched.store.jobs(JobState.RUNNING):
+                    per_tenant[j.tenant] = per_tenant.get(j.tenant, 0) + 1
+                for j in sched.store.jobs(JobState.QUEUED):
+                    assert (
+                        per_tenant.get(j.tenant, 0)
+                        >= sched.tenant_quota(j.tenant)
+                    )
 
     def test_tenant_queue_cap_rejects_with_429_reason(self, tmp_path):
         clock = FakeClock()
-        sched = make_sched(
+        with make_sched(
             tmp_path, max_queued=10, max_running=1,
             max_queued_per_tenant=2,
-        )
-        submit_n(sched, clock, [("a", 0, "x0"), ("a", 0, "x1")])
-        with pytest.raises(AdmissionError) as err:
-            submit_n(sched, clock, [("a", 0, "x2")])
-        assert err.value.reason == "tenant-queue-full"
-        # Other tenants are unaffected by a's full slice.
-        submit_n(sched, clock, [("b", 0, "y0")])
+        ) as sched:
+            submit_n(sched, clock, [("a", 0, "x0"), ("a", 0, "x1")])
+            with pytest.raises(AdmissionError) as err:
+                submit_n(sched, clock, [("a", 0, "x2")])
+            assert err.value.reason == "tenant-queue-full"
+            # Other tenants are unaffected by a's full slice.
+            submit_n(sched, clock, [("b", 0, "y0")])
 
 
 # ----------------------------------------------------------------------
@@ -235,70 +241,70 @@ class TestCoalesceProperties:
     ):
         tmp = tmp_path_factory.mktemp("coal")
         clock = FakeClock()
-        sched = make_sched(tmp, max_queued=100, max_running=10)
-        specs = data.draw(
-            st.lists(st.integers(0, 2), min_size=2, max_size=20),
-            label="spec_pool_picks",
-        )
-        for tag in specs:
-            sched.admit(
-                {"kind": "workload", "workload": f"dup{tag}"},
-                now=clock(),
-                tenant="default",
+        with make_sched(tmp, max_queued=100, max_running=10) as sched:
+            specs = data.draw(
+                st.lists(st.integers(0, 2), min_size=2, max_size=20),
+                label="spec_pool_picks",
             )
-        running: list = []
-        while True:
-            claim = (
-                data.draw(st.booleans(), label="claim")
-                if running
-                else True
-            )
-            if claim:
-                job = sched.claim_next(clock.advance(1.0), W)
-                if job is not None:
-                    running.append(job)
-                elif not running:
-                    break
-            else:
-                leader = running.pop(0)
-                sched.complete(
-                    leader,
-                    {"value": leader.fingerprint[:8]},
-                    clock.advance(1.0),
-                    W,
+            for tag in specs:
+                sched.admit(
+                    {"kind": "workload", "workload": f"dup{tag}"},
+                    now=clock(),
+                    tenant="default",
                 )
-            fps = [
-                j.fingerprint
-                for j in sched.store.jobs(JobState.RUNNING)
-            ]
-            assert len(fps) == len(set(fps)), (
-                "two running jobs share a fingerprint"
-            )
-        # Every submission finished, and every duplicate got exactly its
-        # leader's (byte-identical) result.
-        by_fp: dict[str, set] = {}
-        for job in sched.store.jobs():
-            assert job.state is JobState.DONE
-            by_fp.setdefault(job.fingerprint, set()).add(
-                json.dumps(job.result, sort_keys=True)
-            )
-        for results in by_fp.values():
-            assert len(results) == 1
+            running: list = []
+            while True:
+                claim = (
+                    data.draw(st.booleans(), label="claim")
+                    if running
+                    else True
+                )
+                if claim:
+                    job = sched.claim_next(clock.advance(1.0), W)
+                    if job is not None:
+                        running.append(job)
+                    elif not running:
+                        break
+                else:
+                    leader = running.pop(0)
+                    sched.complete(
+                        leader,
+                        {"value": leader.fingerprint[:8]},
+                        clock.advance(1.0),
+                        W,
+                    )
+                fps = [
+                    j.fingerprint
+                    for j in sched.store.jobs(JobState.RUNNING)
+                ]
+                assert len(fps) == len(set(fps)), (
+                    "two running jobs share a fingerprint"
+                )
+            # Every submission finished, and every duplicate got exactly its
+            # leader's (byte-identical) result.
+            by_fp: dict[str, set] = {}
+            for job in sched.store.jobs():
+                assert job.state is JobState.DONE
+                by_fp.setdefault(job.fingerprint, set()).add(
+                    json.dumps(job.result, sort_keys=True)
+                )
+            for results in by_fp.values():
+                assert len(results) == 1
 
     def test_coalesced_hit_rate_reported(self, tmp_path):
         clock = FakeClock()
-        sched = make_sched(tmp_path, max_queued=10, max_running=1)
-        same = {"kind": "workload", "workload": "same"}
-        ids = [
-            sched.admit(dict(same), now=clock(), tenant=f"t{i}").job_id
-            for i in range(3)
-        ]
-        leader = sched.claim_next(clock.advance(1.0), W)
-        sched.complete(leader, {"v": 1}, clock(), W)
-        assert sorted(sched.last_coalesced) == sorted(
-            set(ids) - {leader.job_id}
-        )
-        assert sched.claim_next(clock.advance(1.0), W) is None
+        with make_sched(tmp_path, max_queued=10, max_running=1) as sched:
+            same = {"kind": "workload", "workload": "same"}
+            ids = [
+                sched.admit(dict(same), now=clock(), tenant=f"t{i}").job_id
+                for i in range(3)
+            ]
+            leader = sched.claim_next(clock.advance(1.0), W)
+            sched.complete(leader, {"v": 1}, clock(), W)
+            assert sorted(sched.last_coalesced) == sorted(
+                set(ids) - {leader.job_id}
+            )
+            assert sched.claim_next(clock.advance(1.0), W) is None
 
 
 # ----------------------------------------------------------------------
@@ -306,67 +312,61 @@ class TestCoalesceProperties:
 # ----------------------------------------------------------------------
 class TestSharedStore:
     def test_cross_instance_visibility_and_identity(self, tmp_path):
-        a = JobStore(tmp_path, fsync=False)
-        b = JobStore(tmp_path, fsync=False)
-        job = a.submit({"kind": "workload", "workload": "x"}, now=1.0)
-        # B sees A's submit without being told.
-        mirror = b.get(job.job_id)
-        assert mirror.state is JobState.QUEUED
-        # B claims it; A observes the transition on its *same* object.
-        b.transition(
-            job.job_id, JobState.RUNNING, attempts=1, now=2.0,
-            worker="b", lease_until=60.0,
-        )
-        seen = a.get(job.job_id)
-        assert seen is job, "absorption must preserve object identity"
-        assert seen.state is JobState.RUNNING
-        assert seen.worker == "b"
-        a.close()
-        b.close()
+        with closing(JobStore(tmp_path, fsync=False)) as a, closing(
+            JobStore(tmp_path, fsync=False)
+        ) as b:
+            job = a.submit({"kind": "workload", "workload": "x"}, now=1.0)
+            # B sees A's submit without being told.
+            mirror = b.get(job.job_id)
+            assert mirror.state is JobState.QUEUED
+            # B claims it; A observes the transition on its *same* object.
+            b.transition(
+                job.job_id, JobState.RUNNING, attempts=1, now=2.0,
+                worker="b", lease_until=60.0,
+            )
+            seen = a.get(job.job_id)
+            assert seen is job, "absorption must preserve object identity"
+            assert seen.state is JobState.RUNNING
+            assert seen.worker == "b"
 
     def test_epoch_reload_after_sibling_compaction(self, tmp_path):
-        a = JobStore(tmp_path, fsync=False)
-        b = JobStore(tmp_path, fsync=False)
-        for i in range(5):
-            a.submit({"kind": "workload", "workload": f"x{i}"}, now=1.0)
-        assert len(b.jobs()) == 5
-        a.compact()  # truncates the WAL, bumps the epoch
-        # B's byte offset points past the truncated WAL end; the epoch
-        # bump forces it to reload from the snapshot instead.
-        after = b.submit(
-            {"kind": "workload", "workload": "post"}, now=2.0
-        )
-        assert len(b.jobs()) == 6
-        assert len(a.jobs()) == 6
-        assert a.get(after.job_id).spec["workload"] == "post"
-        # Sequence numbers survived the reload: no id collisions.
-        assert len({j.job_id for j in a.jobs()}) == 6
-        a.close()
-        b.close()
+        with closing(JobStore(tmp_path, fsync=False)) as a, closing(
+            JobStore(tmp_path, fsync=False)
+        ) as b:
+            for i in range(5):
+                a.submit({"kind": "workload", "workload": f"x{i}"}, now=1.0)
+            assert len(b.jobs()) == 5
+            a.compact()  # truncates the WAL, bumps the epoch
+            # B's byte offset points past the truncated WAL end; the
+            # epoch bump forces it to reload from the snapshot instead.
+            after = b.submit(
+                {"kind": "workload", "workload": "post"}, now=2.0
+            )
+            assert len(b.jobs()) == 6
+            assert len(a.jobs()) == 6
+            assert a.get(after.job_id).spec["workload"] == "post"
+            # Sequence numbers survived the reload: no id collisions.
+            assert len({j.job_id for j in a.jobs()}) == 6
 
     def test_torn_tail_is_repaired_and_skipped(self, tmp_path):
-        a = JobStore(tmp_path, fsync=False)
-        a.submit({"kind": "workload", "workload": "ok"}, now=1.0)
-        a.close()
+        with closing(JobStore(tmp_path, fsync=False)) as a:
+            a.submit({"kind": "workload", "workload": "ok"}, now=1.0)
         with open(tmp_path / "wal.jsonl", "a", encoding="utf-8") as fh:
             fh.write('{"op": "submit", "job": {"job_id": "torn')
-        b = JobStore(tmp_path, fsync=False)
-        assert [j.spec["workload"] for j in b.jobs()] == ["ok"]
-        # The repair newline keeps the next append parseable.
-        b.submit({"kind": "workload", "workload": "next"}, now=2.0)
-        b.close()
-        c = JobStore(tmp_path, fsync=False)
-        assert [j.spec["workload"] for j in c.jobs()] == ["ok", "next"]
-        c.close()
+        with closing(JobStore(tmp_path, fsync=False)) as b:
+            assert [j.spec["workload"] for j in b.jobs()] == ["ok"]
+            # The repair newline keeps the next append parseable.
+            b.submit({"kind": "workload", "workload": "next"}, now=2.0)
+        with closing(JobStore(tmp_path, fsync=False)) as c:
+            assert [j.spec["workload"] for j in c.jobs()] == ["ok", "next"]
 
     def test_durable_cancel_request_crosses_instances(self, tmp_path):
-        a = JobStore(tmp_path, fsync=False)
-        b = JobStore(tmp_path, fsync=False)
-        job = a.submit({"kind": "workload", "workload": "x"}, now=1.0)
-        assert a.request_cancel(job.job_id) is True
-        assert b.get(job.job_id).cancel_requested is True
-        a.close()
-        b.close()
+        with closing(JobStore(tmp_path, fsync=False)) as a, closing(
+            JobStore(tmp_path, fsync=False)
+        ) as b:
+            job = a.submit({"kind": "workload", "workload": "x"}, now=1.0)
+            assert a.request_cancel(job.job_id) is True
+            assert b.get(job.job_id).cancel_requested is True
 
 
 # ----------------------------------------------------------------------

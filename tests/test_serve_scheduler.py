@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -55,54 +57,50 @@ class TestOrdering:
         )
     )
     def test_order_is_priority_desc_then_seq_asc(self, tmp_path_factory, priorities):
-        store = JobStore(
-            tmp_path_factory.mktemp("sched"), fsync=False
-        )
-        sched = Scheduler(store, SchedulerConfig(max_queued=100))
-        for prio in priorities:
-            sched.admit(SPEC, priority=prio, now=0.0)
-        order = sched.schedulable(now=1.0)
+        with closing(
+            JobStore(tmp_path_factory.mktemp("sched"), fsync=False)
+        ) as store:
+            sched = Scheduler(store, SchedulerConfig(max_queued=100))
+            for prio in priorities:
+                sched.admit(SPEC, priority=prio, now=0.0)
+            order = sched.schedulable(now=1.0)
         keys = [(-j.priority, j.seq) for j in order]
         assert keys == sorted(keys)
         assert len(order) == len(priorities)
-        store.close()
 
 
 class TestAdmission:
     def test_queue_full_rejects_with_structure(self, tmp_path):
-        store = JobStore(tmp_path / "serve", fsync=False)
-        sched = Scheduler(store, SchedulerConfig(max_queued=2))
-        sched.admit(SPEC)
-        sched.admit(SPEC)
-        with pytest.raises(AdmissionError) as exc:
+        with closing(JobStore(tmp_path / "serve", fsync=False)) as store:
+            sched = Scheduler(store, SchedulerConfig(max_queued=2))
             sched.admit(SPEC)
-        assert exc.value.reason == "queue-full"
-        assert exc.value.limit == 2
-        assert exc.value.current == 2
-        assert len(store.jobs()) == 2  # the rejected job never persisted
-        store.close()
+            sched.admit(SPEC)
+            with pytest.raises(AdmissionError) as exc:
+                sched.admit(SPEC)
+            assert exc.value.reason == "queue-full"
+            assert exc.value.limit == 2
+            assert exc.value.current == 2
+            assert len(store.jobs()) == 2  # the rejected job never persisted
 
     def test_terminal_jobs_free_queue_slots(self, tmp_path):
-        store = JobStore(tmp_path / "serve", fsync=False)
-        sched = Scheduler(store, SchedulerConfig(max_queued=1))
-        job = sched.admit(SPEC)
-        sched.start(job, 0.0, W)
-        sched.complete(job, {"ok": True}, 1.0, W)
-        sched.admit(SPEC)  # must not raise: the done job is not queued
-        store.close()
+        with closing(JobStore(tmp_path / "serve", fsync=False)) as store:
+            sched = Scheduler(store, SchedulerConfig(max_queued=1))
+            job = sched.admit(SPEC)
+            sched.start(job, 0.0, W)
+            sched.complete(job, {"ok": True}, 1.0, W)
+            sched.admit(SPEC)  # must not raise: the done job is not queued
 
 
 class TestBackoff:
     def test_same_seed_same_schedule(self, tmp_path):
-        s1 = Scheduler(
-            JobStore(tmp_path / "a", fsync=False), SchedulerConfig(seed=7)
-        )
-        s2 = Scheduler(
-            JobStore(tmp_path / "b", fsync=False), SchedulerConfig(seed=7)
-        )
-        assert [s1.backoff_delay(i) for i in range(1, 6)] == [
-            s2.backoff_delay(i) for i in range(1, 6)
-        ]
+        with closing(JobStore(tmp_path / "a", fsync=False)) as a, closing(
+            JobStore(tmp_path / "b", fsync=False)
+        ) as b:
+            s1 = Scheduler(a, SchedulerConfig(seed=7))
+            s2 = Scheduler(b, SchedulerConfig(seed=7))
+            assert [s1.backoff_delay(i) for i in range(1, 6)] == [
+                s2.backoff_delay(i) for i in range(1, 6)
+            ]
 
     @given(attempt=st.integers(min_value=1, max_value=20))
     def test_delay_bounded(self, tmp_path_factory, attempt):
@@ -110,10 +108,10 @@ class TestBackoff:
             backoff_base=0.25, backoff_factor=2.0,
             backoff_max=30.0, backoff_jitter=0.5, seed=3,
         )
-        sched = Scheduler(
-            JobStore(tmp_path_factory.mktemp("b"), fsync=False), cfg
-        )
-        delay = sched.backoff_delay(attempt)
+        with closing(
+            JobStore(tmp_path_factory.mktemp("b"), fsync=False)
+        ) as store:
+            delay = Scheduler(store, cfg).backoff_delay(attempt)
         raw = min(0.25 * 2.0 ** (attempt - 1), 30.0)
         assert raw <= delay <= raw * 1.5
 
@@ -122,40 +120,38 @@ class TestBackoff:
             backoff_base=1.0, backoff_factor=2.0,
             backoff_max=8.0, backoff_jitter=0.0,
         )
-        sched = Scheduler(JobStore(tmp_path / "serve", fsync=False), cfg)
-        assert [sched.backoff_delay(i) for i in range(1, 7)] == [
-            1.0, 2.0, 4.0, 8.0, 8.0, 8.0
-        ]
+        with closing(JobStore(tmp_path / "serve", fsync=False)) as store:
+            sched = Scheduler(store, cfg)
+            assert [sched.backoff_delay(i) for i in range(1, 7)] == [
+                1.0, 2.0, 4.0, 8.0, 8.0, 8.0
+            ]
 
     def test_exhausted_attempts_become_terminal(self, tmp_path):
-        store = JobStore(tmp_path / "serve", fsync=False)
-        sched = Scheduler(store, SchedulerConfig(max_attempts=2))
-        job = sched.admit(SPEC)
-        sched.start(job, 0.0, W)
-        sched.fail(job, "flaky-1", now=0.0, transient=True, worker=W)
-        assert job.state is JobState.QUEUED
-        sched.start(job, 10.0, W)
-        sched.fail(job, "flaky-2", now=10.0, transient=True, worker=W)
-        assert job.state is JobState.FAILED  # attempts == max_attempts
-        assert "flaky-2" in job.error
-        store.close()
+        with closing(JobStore(tmp_path / "serve", fsync=False)) as store:
+            sched = Scheduler(store, SchedulerConfig(max_attempts=2))
+            job = sched.admit(SPEC)
+            sched.start(job, 0.0, W)
+            sched.fail(job, "flaky-1", now=0.0, transient=True, worker=W)
+            assert job.state is JobState.QUEUED
+            sched.start(job, 10.0, W)
+            sched.fail(job, "flaky-2", now=10.0, transient=True, worker=W)
+            assert job.state is JobState.FAILED  # attempts == max_attempts
+            assert "flaky-2" in job.error
 
     def test_nontransient_fails_immediately(self, tmp_path):
-        store = JobStore(tmp_path / "serve", fsync=False)
-        sched = Scheduler(store, SchedulerConfig(max_attempts=5))
-        job = sched.admit(SPEC)
-        sched.start(job, 0.0, W)
-        sched.fail(job, "bad kernel", now=0.0, transient=False, worker=W)
-        assert job.state is JobState.FAILED
-        store.close()
+        with closing(JobStore(tmp_path / "serve", fsync=False)) as store:
+            sched = Scheduler(store, SchedulerConfig(max_attempts=5))
+            job = sched.admit(SPEC)
+            sched.start(job, 0.0, W)
+            sched.fail(job, "bad kernel", now=0.0, transient=False, worker=W)
+            assert job.state is JobState.FAILED
 
     def test_preempt_does_not_consume_attempt(self, tmp_path):
-        store = JobStore(tmp_path / "serve", fsync=False)
-        sched = Scheduler(store, SchedulerConfig())
-        job = sched.admit(SPEC)
-        sched.start(job, 0.0, W)
-        assert job.attempts == 1
-        sched.preempt(job, 1.0, W)
-        assert job.state is JobState.QUEUED
-        assert job.attempts == 0
-        store.close()
+        with closing(JobStore(tmp_path / "serve", fsync=False)) as store:
+            sched = Scheduler(store, SchedulerConfig())
+            job = sched.admit(SPEC)
+            sched.start(job, 0.0, W)
+            assert job.attempts == 1
+            sched.preempt(job, 1.0, W)
+            assert job.state is JobState.QUEUED
+            assert job.attempts == 0

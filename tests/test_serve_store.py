@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -113,6 +116,30 @@ class TestDurability:
         # New appends after recovery still work.
         s2.transition(a.job_id, JobState.RUNNING, attempts=1)
         s2.close()
+
+    def test_open_sweeps_orphaned_temp_files(self, tmp_path):
+        """Temp files of killed writers go when a store opens; the claim
+        file of a live process stays."""
+        probe = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        dead_pid = int(probe.stdout)
+        root = tmp_path / "serve"
+        root.mkdir()
+        orphans = [
+            root / "tmp1a2b.snap.tmp",
+            root / "tmp3c4d.epoch.tmp",
+            root / f"store.lock.{dead_pid}-{'00' * 8}.tmp",
+        ]
+        live = root / f"store.lock.{os.getpid()}-{'11' * 8}.tmp"
+        for path in (*orphans, live):
+            path.write_text("x")
+        JobStore(root, fsync=False).close()
+        assert [p.name for p in orphans if p.exists()] == []
+        assert live.exists()
 
     def test_compact_folds_wal_into_snapshot(self, tmp_path):
         root = tmp_path / "serve"
