@@ -1,9 +1,12 @@
-"""Golden-figure regression: small-scale fig11/fig12/fig14 snapshots.
+"""Golden-figure regression: smoke-scale snapshots of every figure.
 
 The figure generators are deterministic analytical models — any numeric
 drift in their output means a timing/traffic model changed.  These tests
-pin the small-scale (``SCALE = 0.05``) tables byte-for-byte against JSON
-fixtures under ``tests/golden/``.
+pin every table ``benchmarks/run_all.py`` prints, plus the zoo figure,
+at smoke scale (``SCALE = SWEEP_SCALE = 0.05``, the scales of
+``run_all.py --scale 0.05 --sweep-scale 0.05``; fig17 runs at the
+registered figure's smoke scale) against JSON fixtures under
+``tests/golden/``.
 
 When a change is *intentional*, refresh the fixtures and commit them:
 
@@ -19,9 +22,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.campaign import fig11_speedup, fig12_noc_traffic, fig14_cycles
+from benchmarks.run_all import _eq1
+from repro.sim.campaign import (
+    fig02_microbench,
+    fig11_speedup,
+    fig12_noc_traffic,
+    fig13_infs_traffic,
+    fig14_cycles,
+    fig15_dataflow,
+    fig16_tile_sweep_2d,
+    fig17_tile_sweep_3d,
+    fig18_energy,
+    fig19_pointnet,
+    jit_overheads,
+    zoo_speedup,
+)
 
 SCALE = 0.05
+SWEEP_SCALE = 0.05
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Relative tolerance for cross-platform float noise.  The models are
@@ -84,3 +102,26 @@ def test_fig12_noc_traffic_golden(fig11_results, update_golden):
 def test_fig14_cycles_golden(update_golden):
     headers, rows = fig14_cycles(SCALE)
     _check_golden("fig14_cycles", headers, rows, update_golden)
+
+
+#: The other tables, fixture name -> () -> (headers, rows).
+FIGURES = {
+    "eq1_peak": _eq1,
+    "fig02_microbench": fig02_microbench,
+    "fig13_infs_traffic": lambda: fig13_infs_traffic(SCALE),
+    "fig15_dataflow": lambda: fig15_dataflow(SCALE),
+    "fig16_tile_sweep_2d": lambda: fig16_tile_sweep_2d(scale=SWEEP_SCALE)[0],
+    "fig16_heuristic_oracle": lambda: fig16_tile_sweep_2d(scale=SWEEP_SCALE)[1],
+    "fig17_tile_sweep_3d": lambda: fig17_tile_sweep_3d(scale=SWEEP_SCALE),
+    "fig18_energy": lambda: fig18_energy(SCALE),
+    "fig19_pointnet_speedup": lambda: fig19_pointnet()[0],
+    "fig19_pointnet_timeline": lambda: fig19_pointnet()[1],
+    "jit_overheads": lambda: jit_overheads(SCALE),
+    "zoo_speedup": lambda: zoo_speedup(SCALE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_figure_golden(name, update_golden):
+    headers, rows = FIGURES[name]()
+    _check_golden(name, headers, rows, update_golden)
