@@ -121,17 +121,20 @@ def extract_affine(expr: Expr) -> AffineExpr:
     The result is a pure function of the frozen AST node, and region
     builds re-analyze the same parsed expressions once per host
     iteration — so both outcomes (the affine form or the extraction
-    error) are cached on the node's ``__dict__``.
+    error's message) are cached on the node's ``__dict__``.  A failure
+    raises a fresh error each time: re-raising one cached exception
+    would chain every raising stack (and its locals) onto a traceback
+    that lives as long as the AST.
     """
     cached = expr.__dict__.get("_affine")
     if cached is not None:
-        if cached.__class__ is FrontendError:
-            raise cached
+        if cached.__class__ is str:
+            raise FrontendError(cached)
         return cached
     try:
         result = _extract_affine(expr)
     except FrontendError as err:
-        expr.__dict__["_affine"] = err
+        expr.__dict__["_affine"] = str(err)
         raise
     expr.__dict__["_affine"] = result
     return result
@@ -167,6 +170,9 @@ def _extract_affine(expr: Expr) -> AffineExpr:
 
 
 def is_affine(expr: Expr) -> bool:
+    cached = expr.__dict__.get("_affine")
+    if cached is not None:
+        return cached.__class__ is not str
     try:
         extract_affine(expr)
         return True

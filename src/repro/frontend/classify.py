@@ -133,20 +133,25 @@ class Classification:
 def _collect(stmts: tuple[Stmt, ...]):
     chains: list[tuple[Assign, tuple[For, ...]]] = []
     loops: list[tuple[For, int]] = []
-
-    def rec(node: Stmt, chain: tuple[For, ...]) -> None:
-        if isinstance(node, For):
-            loops.append((node, len(chain)))
-            for child in node.body:
-                rec(child, chain + (node,))
-        elif isinstance(node, Assign):
-            chains.append((node, chain))
-        else:
-            raise FrontendError(f"unsupported statement {node!r}")
-
     for stmt in stmts:
-        rec(stmt, ())
+        _collect_into(stmt, (), chains, loops)
     return chains, loops
+
+
+def _collect_into(
+    node: Stmt,
+    chain: tuple[For, ...],
+    chains: list[tuple[Assign, tuple[For, ...]]],
+    loops: list[tuple[For, int]],
+) -> None:
+    if isinstance(node, For):
+        loops.append((node, len(chain)))
+        for child in node.body:
+            _collect_into(child, chain + (node,), chains, loops)
+    elif isinstance(node, Assign):
+        chains.append((node, chain))
+    else:
+        raise FrontendError(f"unsupported statement {node!r}")
 
 
 def _all_refs(assign: Assign):

@@ -169,27 +169,8 @@ class InstantiatedKernel:
     ) -> Iterator[dict[str, int]]:
         """Enumerate host-loop bindings for one segment (or segment 0)."""
         if segment is None:
-            segs = self.segments
-            segment = segs[0]
-        loops = segment.host_loops
-
-        def rec(idx: int, env: dict[str, int]) -> Iterator[dict[str, int]]:
-            if idx == len(loops):
-                yield dict(env)
-                return
-            info = loops[idx]
-            scope = {**self.params, **env}
-            lo = info.lo.evaluate(scope)
-            hi = info.hi.evaluate(scope)
-            step = info.step.evaluate(scope) if info.step is not None else 1
-            if step <= 0:
-                raise FrontendError(f"non-positive step in loop {info.var!r}")
-            for value in range(lo, hi, step):
-                env[info.var] = value
-                yield from rec(idx + 1, env)
-            env.pop(info.var, None)
-
-        yield from rec(0, {})
+            segment = self.segments[0]
+        yield from _bindings(segment.host_loops, self.params, 0, {})
 
     def num_regions(self) -> int:
         count = 0
@@ -244,6 +225,34 @@ class InstantiatedKernel:
             f"{s.assign.target}:{s.mode.value}" for s in self.classification.stmts
         )
         return f"{self.name}: loops[{loops}] stmts[{modes}]"
+
+
+def _bindings(
+    loops: tuple[LoopInfo, ...],
+    params: Mapping[str, int],
+    idx: int,
+    env: dict[str, int],
+) -> Iterator[dict[str, int]]:
+    """Host-loop bindings of ``loops[idx:]`` under the outer ``env``.
+
+    Module-level rather than a closure: a closure that calls itself is a
+    reference cycle, and one capturing the kernel would keep it (and
+    every region it cached) alive until the cycle collector runs.
+    """
+    if idx == len(loops):
+        yield dict(env)
+        return
+    info = loops[idx]
+    scope = {**params, **env}
+    lo = info.lo.evaluate(scope)
+    hi = info.hi.evaluate(scope)
+    step = info.step.evaluate(scope) if info.step is not None else 1
+    if step <= 0:
+        raise FrontendError(f"non-positive step in loop {info.var!r}")
+    for value in range(lo, hi, step):
+        env[info.var] = value
+        yield from _bindings(loops, params, idx + 1, env)
+    env.pop(info.var, None)
 
 
 def parse_kernel(

@@ -10,6 +10,7 @@ dimensions.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Sequence
 
@@ -79,17 +80,9 @@ def _decompose_cached(
         p, q = tensor.interval(dim)
         per_dim.append(_decompose_dim(p, q, int(tile_sizes[dim])))
     # Cross product of the per-dimension splits (Alg 1 lines 6-18).
-    result: list[Hyperrect] = []
-
-    def rec(dim: int, acc: list[tuple[int, int]]) -> None:
-        if dim == tensor.ndim:
-            result.append(Hyperrect.from_bounds(acc))
-            return
-        for interval in per_dim[dim]:
-            rec(dim + 1, acc + [interval])
-
-    rec(0, [])
-    return tuple(result)
+    return tuple(
+        Hyperrect.from_bounds(bounds) for bounds in itertools.product(*per_dim)
+    )
 
 
 def tile_index_range(

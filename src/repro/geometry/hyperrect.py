@@ -15,6 +15,7 @@ talks about "dimension 0 (continuous in address space)").  A C array
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -226,17 +227,14 @@ class Hyperrect:
     # ------------------------------------------------------------------
     def points(self) -> Iterator[tuple[int, ...]]:
         """Iterate all lattice points, dimension 0 fastest."""
-
-        def rec(dim: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if dim < 0:
-                yield prefix
-                return
-            for x in range(self.starts[dim], self.ends[dim]):
-                yield from rec(dim - 1, (x,) + prefix)
-
         if self.is_empty:
             return iter(())
-        return rec(self.ndim - 1, ())
+        # product() varies its last range fastest: feed the dimensions
+        # outermost first and flip each point back to dimension order.
+        ranges = [
+            range(p, q) for p, q in zip(reversed(self.starts), reversed(self.ends))
+        ]
+        return (point[::-1] for point in itertools.product(*ranges))
 
     def numpy_slices(self) -> tuple[slice, ...]:
         """Slices indexing this region in a numpy array of matching rank.
