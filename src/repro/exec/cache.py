@@ -546,6 +546,24 @@ class CompilationCache:
         if _metrics.REGISTRY is not None or _trace.TRACER is not None:
             self._observe("store", key)
 
+    def resident(self, key: str, build):
+        """The memory-only entry *key*, made by ``build()`` on a miss.
+
+        For live objects that are cheaper to keep than to rebuild but
+        not worth pickling (instantiated kernels and the regions they
+        have built).  Resident entries share the LRU bound with compiled
+        artifacts and leave with :func:`configure_cache`'s fresh cache,
+        but they never reach the disk store and never count as lookups,
+        so the stage statistics see only compiled artifacts.
+        """
+        value = self._lru.get(key)
+        if value is None:
+            value = build()
+            self._insert(key, value)
+        else:
+            self._lru.move_to_end(key)
+        return value
+
     @staticmethod
     def _observe(outcome: str, key: str) -> None:
         # Keys are "<stage>-<hex digest>"; digests never contain "-".

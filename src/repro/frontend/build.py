@@ -113,6 +113,11 @@ class RegionInstance:
     temps: dict[str, tuple[Node, dict[str, tuple[int, int]]]] = field(
         default_factory=dict
     )
+    # The timing engine's near-memory cycle estimate by system
+    # fingerprint (see InfinityStreamRunner._near_memory_estimate).
+    near_estimates: dict[str, float] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def signature(self) -> str:

@@ -267,6 +267,11 @@ class LoweredRegion:
     _wave_arrays_cache: WaveArrays | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # The timing engine's probe results by (system fingerprint, layout);
+    # see InfinityStreamRunner._probe_timing.  Also excluded from pickles.
+    _timing_memo: dict | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def finalize(self) -> "LoweredRegion":
         self.stats = CommandStats.collect(self.commands)
@@ -288,10 +293,17 @@ class LoweredRegion:
             self._wave_arrays_cache = WaveArrays(self.commands, self.waves())
         return self._wave_arrays_cache
 
+    def timing_memo(self) -> dict:
+        """The timing engine's memo for this region (built on first use)."""
+        if self._timing_memo is None:
+            self._timing_memo = {}
+        return self._timing_memo
+
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_waves_cache"] = None
         state["_wave_arrays_cache"] = None
+        state["_timing_memo"] = None
         return state
 
 

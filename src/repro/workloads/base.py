@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
+from repro.exec.cache import active_cache, stable_digest
 from repro.frontend.classify import LoopKind, StmtMode
 from repro.frontend.kast import BinOp, Call, Expr, Ref, UnaryOp, Var, walk_refs
 from repro.frontend.kernel import InstantiatedKernel, KernelProgram
@@ -88,7 +89,29 @@ class Workload:
 
     @cached_property
     def kernel(self) -> InstantiatedKernel:
-        return self.instantiate()
+        """The instantiated kernel, shared by equal workloads.
+
+        Figures and served jobs re-create the same workloads point after
+        point; the active compilation cache keeps one kernel (and every
+        region it has built) per distinct instantiation, so they are
+        built once.  Unshared when the cache is disabled.
+        """
+        cache = active_cache()
+        if cache is None:
+            return self.instantiate()
+        program = self.program
+        key = "kernel-" + stable_digest(
+            [
+                program.name,
+                program.source,
+                program.array_shapes,
+                program.dtype,
+                sorted(self.params.items()),
+                self.dataflow,
+                self.host_loops,
+            ]
+        )
+        return cache.resident(key, self.instantiate)
 
     # ------------------------------------------------------------------
     # Op / byte accounting for the core-centric models
