@@ -116,7 +116,7 @@ class RegionInstance:
     # The timing engine's near-memory cycle estimate by system
     # fingerprint (see InfinityStreamRunner._near_memory_estimate).
     near_estimates: dict[str, float] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     @property
