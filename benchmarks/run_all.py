@@ -4,15 +4,14 @@
 Usage::
 
     python benchmarks/run_all.py [--scale 1.0] [--out EXPERIMENTS_DATA.txt]
-                                 [--jobs N] [--cache] [--no-cache]
+                                 [--jobs N] [--no-cache]
 
 This is the script behind EXPERIMENTS.md: each section prints the rows
 of one paper figure, produced by :mod:`repro.sim.campaign`.
 
 ``--jobs N`` fans independent simulation points out across N worker
-processes; ``--cache`` persists compiled artifacts (fat binaries, JIT
-lowerings) under ``.repro_cache/`` so reruns start warm.  Neither
-changes any figure: tables are byte-identical across jobs/cache
+processes; ``--no-cache`` turns off the in-memory compilation cache.
+Neither changes any figure: tables are byte-identical across jobs/cache
 settings — only the performance summary (written to stderr, never to
 ``--out``) differs.
 """
@@ -41,22 +40,14 @@ def main() -> int:
         help="worker processes for independent simulation points",
     )
     ap.add_argument(
-        "--cache",
-        action="store_true",
-        help="persist compiled artifacts under --cache-dir across runs",
-    )
-    ap.add_argument("--cache-dir", type=str, default=".repro_cache")
-    ap.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable even the in-memory compilation cache",
+        help="disable the in-memory compilation cache",
     )
     args = ap.parse_args()
 
     if args.no_cache:
         configure_cache(enabled=False)
-    elif args.cache:
-        configure_cache(disk_dir=args.cache_dir)
 
     ex = PointExecutor(jobs=max(1, args.jobs))
     out = open(args.out, "w") if args.out else sys.stdout
@@ -94,7 +85,7 @@ def main() -> int:
         out.close()
 
     # Host-performance summary: stderr only, so --out files stay
-    # byte-comparable across --jobs/--cache settings.
+    # byte-comparable across --jobs/--no-cache settings.
     err = sys.stderr
     print(f"\n## Wall-clock per section (--jobs {args.jobs})\n", file=err)
     print(C.format_table(*ex.report()), file=err)
@@ -103,8 +94,7 @@ def main() -> int:
     if cache is None:
         print("disabled (--no-cache)", file=err)
     else:
-        where = f"disk at {cache.disk_dir}/" if cache.disk_dir else "in-memory"
-        print(f"{where}: {cache.stats.summary()}", file=err)
+        print(cache.stats.summary(), file=err)
     print("\n## JIT compiler\n", file=err)
     print(global_stats().summary(), file=err)
     print(f"\n(total {time.time() - t0:.0f}s)", file=err)

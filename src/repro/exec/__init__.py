@@ -8,8 +8,7 @@ host machine produces them:
 * :mod:`repro.exec.pool` fans independent simulation points out across
   worker processes with deterministic result ordering;
 * :mod:`repro.exec.cache` memoizes compiled artifacts (fat binaries,
-  JIT-lowered regions) by content fingerprint, in memory and optionally
-  on disk under ``.repro_cache/``.
+  JIT-lowered regions) by content fingerprint in an in-memory LRU.
 """
 
 from repro.exec.cache import (

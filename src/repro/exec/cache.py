@@ -9,18 +9,15 @@ memoizes those artifacts by *content fingerprint*:
 * keys are SHA-256 digests of a canonical encoding of everything the
   compilation depends on (tDFG structure, system parameters, tile
   override), so they are stable across processes and across runs;
-* values live in an in-process LRU, optionally write-through persisted
-  under ``.repro_cache/`` (one pickle per entry, sharded by key prefix);
+* values live in an in-process LRU, bounded by entry count;
 * hits never change modeled timing — a cache hit returns the same
   lowering a fresh compile would have produced, and the JIT's *modeled*
   memoization cycles (§4.2) are accounted separately per run.
 
-The module holds one process-global active cache (in-memory by default;
-set ``REPRO_CACHE_DIR`` or call :func:`configure_cache` for disk
-persistence) so that the backend and the JIT share it without plumbing.
-A tiny CLI inspects or clears the on-disk store::
-
-    python -m repro.exec [--dir .repro_cache] [--clear]
+The module holds one process-global active cache, which
+:func:`configure_cache` replaces or disables, so that the backend and
+the JIT share it without plumbing.  It also holds :class:`FileLock`,
+the cross-process mutex of the serve job store.
 """
 
 from __future__ import annotations
@@ -30,8 +27,6 @@ import enum
 import hashlib
 import json
 import os
-import pickle
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -40,12 +35,7 @@ from repro.trace import events as _trace
 from repro.trace import metrics as _metrics
 from repro.trace.events import Category as _Cat
 
-DEFAULT_CACHE_DIR = ".repro_cache"
 DEFAULT_MAX_ENTRIES = 8192
-
-# Orphaned-``*.tmp`` collection: a writer holds its tempfile for
-# milliseconds, so anything this old was left by a killed process.
-TMP_ORPHAN_AGE_SECONDS = 300.0
 
 #: a waiting FileLock's first retry pause; it doubles from there
 LOCK_FIRST_BACKOFF_S = 0.0005
@@ -55,7 +45,7 @@ LOCK_FIRST_BACKOFF_S = 0.0005
 # Cross-process file lock
 # ----------------------------------------------------------------------
 class FileLock:
-    """A lockfile-based mutex shared by every process using one cache dir.
+    """A lockfile-based mutex shared by every process using one serve store.
 
     Acquisition publishes a ``pid:token`` claim identifying the holder
     atomically: the claim is written to a private ``*.tmp`` file, which
@@ -435,8 +425,6 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
-    disk_hits: int = 0  # subset of ``hits`` served from the disk store
-    disk_stores: int = 0
 
     @property
     def lookups(self) -> int:
@@ -449,14 +437,7 @@ class CacheStats:
     def copy(self) -> "CacheStats":
         # Field-by-field construction: ``dataclasses.replace`` shows up
         # in campaign profiles (the engine snapshots stats per region).
-        return CacheStats(
-            self.hits,
-            self.misses,
-            self.stores,
-            self.evictions,
-            self.disk_hits,
-            self.disk_stores,
-        )
+        return CacheStats(self.hits, self.misses, self.stores, self.evictions)
 
     def delta(self, before: "CacheStats") -> "CacheStats":
         return CacheStats(
@@ -474,8 +455,8 @@ class CacheStats:
     def summary(self) -> str:
         return (
             f"{self.lookups} lookups, {self.hits} hits "
-            f"({self.hit_rate:.0%}), {self.disk_hits} from disk, "
-            f"{self.stores} stores, {self.evictions} evictions"
+            f"({self.hit_rate:.0%}), {self.stores} stores, "
+            f"{self.evictions} evictions"
         )
 
 
@@ -486,34 +467,21 @@ class LayoutFailure:
     message: str
 
 
-_MISS = object()
-
-
 # ----------------------------------------------------------------------
 # The cache
 # ----------------------------------------------------------------------
 class CompilationCache:
     """LRU of compiled artifacts keyed by content digest.
 
-    Values must be picklable (for the optional disk store) and are
-    treated as immutable by every consumer: the backend schedules and
-    register-allocates *before* insertion, and the JIT/timing layers
-    only read the cached objects.
+    Values are treated as immutable by every consumer: the backend
+    schedules and register-allocates *before* insertion, and the
+    JIT/timing layers only read the cached objects.
     """
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        disk_dir: str | os.PathLike | None = None,
-    ) -> None:
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         self.max_entries = max(1, int(max_entries))
-        self.disk_dir = Path(disk_dir) if disk_dir else None
         self.stats = CacheStats()
         self._lru: OrderedDict[str, object] = OrderedDict()
-        if self.disk_dir is not None and self.disk_dir.is_dir():
-            # Opportunistic: sweep tempfiles left by writers that were
-            # killed mid-publish (anything older than the orphan age).
-            self.gc_orphans()
 
     # ------------------------------------------------------------------
     def get(self, key: str):
@@ -524,14 +492,6 @@ class CompilationCache:
             if _metrics.REGISTRY is not None or _trace.TRACER is not None:
                 self._observe("hit", key)
             return self._lru[key]
-        value = self._disk_get(key)
-        if value is not _MISS:
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            self._insert(key, value)
-            if _metrics.REGISTRY is not None or _trace.TRACER is not None:
-                self._observe("disk-hit", key)
-            return value
         self.stats.misses += 1
         if _metrics.REGISTRY is not None or _trace.TRACER is not None:
             self._observe("miss", key)
@@ -542,19 +502,18 @@ class CompilationCache:
             raise ValueError("cannot cache None (reserved for misses)")
         self.stats.stores += 1
         self._insert(key, value)
-        self._disk_put(key, value)
         if _metrics.REGISTRY is not None or _trace.TRACER is not None:
             self._observe("store", key)
 
     def resident(self, key: str, build):
-        """The memory-only entry *key*, made by ``build()`` on a miss.
+        """The uncounted entry *key*, made by ``build()`` on a miss.
 
-        For live objects that are cheaper to keep than to rebuild but
-        not worth pickling (instantiated kernels and the regions they
-        have built).  Resident entries share the LRU bound with compiled
-        artifacts and leave with :func:`configure_cache`'s fresh cache,
-        but they never reach the disk store and never count as lookups,
-        so the stage statistics see only compiled artifacts.
+        For live objects that are cheaper to keep than to rebuild
+        (instantiated kernels and the regions they have built).
+        Resident entries share the LRU bound with compiled artifacts and
+        leave with :func:`configure_cache`'s fresh cache, but they never
+        count as lookups, so the stage statistics see only compiled
+        artifacts.
         """
         value = self._lru.get(key)
         if value is None:
@@ -581,14 +540,6 @@ class CompilationCache:
                 key=key[-12:],
             )
 
-    def clear(self, disk: bool = False) -> None:
-        self._lru.clear()
-        if disk and self.disk_dir is not None:
-            with self._index_lock():
-                for path in self.disk_dir.glob("*/*.pkl"):
-                    path.unlink(missing_ok=True)
-                self._write_index({})
-
     def __len__(self) -> int:
         return len(self._lru)
 
@@ -600,148 +551,14 @@ class CompilationCache:
         self._lru[key] = value
         self._lru.move_to_end(key)
         while len(self._lru) > self.max_entries:
-            # Evicted entries stay on disk (if persisted): the LRU only
-            # bounds resident memory, not the content-addressed store.
             self._lru.popitem(last=False)
             self.stats.evictions += 1
-
-    def _path(self, key: str) -> Path:
-        assert self.disk_dir is not None
-        return self.disk_dir / key[:2] / f"{key}.pkl"
-
-    def _disk_get(self, key: str):
-        if self.disk_dir is None:
-            return _MISS
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            return _MISS
-
-    def _disk_put(self, key: str, value) -> None:
-        if self.disk_dir is None:
-            return
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Atomic publish: concurrent workers may race on one key.
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-            self.stats.disk_stores += 1
-        except (OSError, pickle.PicklingError):
-            return  # persistence is best-effort
-        try:
-            size = path.stat().st_size
-            with self._index_lock():
-                index = self._read_index()
-                index[key] = size
-                self._write_index(index)
-        except (OSError, TimeoutError):
-            # Index bookkeeping is best-effort too: gc_orphans()
-            # reconciles it with the *.pkl files on the next sweep.
-            return
-
-    # ------------------------------------------------------------------
-    # Shared-store bookkeeping: index + orphan collection, both under
-    # the cross-process lock so concurrent writers never corrupt them.
-    # ------------------------------------------------------------------
-    def _index_lock(self) -> FileLock:
-        assert self.disk_dir is not None
-        self.disk_dir.mkdir(parents=True, exist_ok=True)
-        return FileLock(self.disk_dir / "index.lock")
-
-    def _read_index(self) -> dict[str, int]:
-        assert self.disk_dir is not None
-        try:
-            with open(self.disk_dir / "index.json") as fh:
-                raw = json.load(fh)
-            return {str(k): int(v) for k, v in raw.items()}
-        except (OSError, ValueError):
-            return {}
-
-    def _write_index(self, index: dict[str, int]) -> None:
-        assert self.disk_dir is not None
-        fd, tmp = tempfile.mkstemp(dir=self.disk_dir, suffix=".idx.tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(index, fh, sort_keys=True)
-            os.replace(tmp, self.disk_dir / "index.json")
-        except BaseException:
-            os.unlink(tmp)
-            raise
-
-    def gc_orphans(
-        self, max_age: float = TMP_ORPHAN_AGE_SECONDS
-    ) -> list[str]:
-        """Remove ``*.tmp`` files abandoned by killed writers.
-
-        Also reconciles ``index.json`` with the ``*.pkl`` files actually
-        present (a writer killed between publishing its pickle and
-        updating the index leaves the two out of sync).  Returns the
-        paths removed.  Everything happens under the cross-process lock.
-        """
-        if self.disk_dir is None or not self.disk_dir.is_dir():
-            return []
-        import time
-
-        removed: list[str] = []
-        try:
-            with self._index_lock():
-                now = time.time()
-                for pattern in ("*.tmp", "*/*.tmp"):
-                    for tmp in self.disk_dir.glob(pattern):
-                        try:
-                            if now - tmp.stat().st_mtime > max_age:
-                                tmp.unlink()
-                                removed.append(str(tmp))
-                        except OSError:
-                            continue  # a live writer published/removed it
-                on_disk = {
-                    p.stem: p.stat().st_size
-                    for p in self.disk_dir.glob("*/*.pkl")
-                }
-                if on_disk != self._read_index():
-                    self._write_index(on_disk)
-        except (OSError, TimeoutError):
-            return removed
-        return removed
-
-    # ------------------------------------------------------------------
-    def disk_entries(self) -> list[tuple[str, int]]:
-        """(key, bytes) for every entry in the disk store.
-
-        Served from ``index.json`` when it is consistent with the store;
-        falls back to a directory walk (the ground truth) otherwise.
-        """
-        if self.disk_dir is None or not self.disk_dir.is_dir():
-            return []
-        out = [
-            (path.stem, path.stat().st_size)
-            for path in sorted(self.disk_dir.glob("*/*.pkl"))
-        ]
-        return out
-
-    def disk_index(self) -> dict[str, int]:
-        """The locked bookkeeping index (key -> bytes); may trail the
-        store briefly between a pickle publish and its index update."""
-        if self.disk_dir is None:
-            return {}
-        return self._read_index()
 
 
 # ----------------------------------------------------------------------
 # The process-global active cache
 # ----------------------------------------------------------------------
-_active: CompilationCache | None = CompilationCache(
-    disk_dir=os.environ.get("REPRO_CACHE_DIR") or None
-)
+_active: CompilationCache | None = CompilationCache()
 
 
 def active_cache() -> CompilationCache | None:
@@ -749,34 +566,11 @@ def active_cache() -> CompilationCache | None:
     return _active
 
 
-def configure_cache(
-    enabled: bool = True,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-    disk_dir: str | os.PathLike | None = None,
-) -> CompilationCache | None:
-    """Replace the process-global cache (e.g. from CLI flags)."""
+def configure_cache(enabled: bool = True) -> CompilationCache | None:
+    """Replace the process-global cache with a fresh one, or disable it."""
     global _active
-    _active = (
-        CompilationCache(max_entries=max_entries, disk_dir=disk_dir)
-        if enabled
-        else None
-    )
+    _active = CompilationCache() if enabled else None
     return _active
-
-
-def export_config() -> dict:
-    """The active configuration, picklable for worker-process setup."""
-    if _active is None:
-        return {"enabled": False}
-    return {
-        "enabled": True,
-        "max_entries": _active.max_entries,
-        "disk_dir": str(_active.disk_dir) if _active.disk_dir else None,
-    }
-
-
-def configure_from(config: dict) -> None:
-    configure_cache(**config)
 
 
 def stats_snapshot() -> CacheStats:
@@ -787,42 +581,3 @@ def merge_stats(delta: CacheStats) -> None:
     """Fold a worker process' counter delta into the active cache."""
     if _active is not None:
         _active.stats.merge(delta)
-
-
-# ----------------------------------------------------------------------
-# CLI: inspect / clear the on-disk store
-# ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.exec",
-        description="Inspect or clear the on-disk compilation cache.",
-    )
-    ap.add_argument("--dir", default=DEFAULT_CACHE_DIR)
-    ap.add_argument("--clear", action="store_true")
-    args = ap.parse_args(argv)
-
-    cache = CompilationCache(disk_dir=args.dir)
-    entries = cache.disk_entries()
-    if args.clear:
-        cache.clear(disk=True)
-        print(f"cleared {len(entries)} entries from {args.dir}/")
-        return 0
-    by_kind: dict[str, tuple[int, int]] = {}
-    for key, size in entries:
-        # Keys are "<stage>-<hex digest>"; stage names may contain "-"
-        # (jit-lower) but digests never do.
-        kind = key.rsplit("-", 1)[0] if "-" in key else "other"
-        count, total = by_kind.get(kind, (0, 0))
-        by_kind[kind] = (count + 1, total + size)
-    if not by_kind:
-        print(f"{args.dir}/: empty")
-        return 0
-    for kind, (count, total) in sorted(by_kind.items()):
-        print(f"{kind:10s} {count:6d} entries  {total / 1024:.1f} KiB")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

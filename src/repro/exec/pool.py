@@ -19,9 +19,9 @@ with
   folds into its own process-global counters, so ``--jobs N`` reports
   the same aggregate hit rates a serial run would.
 
-Worker processes inherit the parent's cache configuration through a pool
-initializer, so on-disk persistence works identically under ``--jobs N``
-regardless of the multiprocessing start method.
+A pool initializer gives each worker process a fresh cache of its own,
+or none when the parent's is disabled, whatever the multiprocessing
+start method.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class PointExecutor:
             max_workers=workers,
             initializer=_init_worker,
             initargs=(
-                cache_mod.export_config(),
+                cache_mod.active_cache() is not None,
                 metrics_mod.metrics_enabled(),
             ),
         )
@@ -261,9 +261,9 @@ def _brief(value) -> str:
 _WORKER_METRICS = False
 
 
-def _init_worker(cache_config: dict, metrics_on: bool = False) -> None:
+def _init_worker(cache_on: bool, metrics_on: bool = False) -> None:
     global _WORKER_METRICS
-    cache_mod.configure_from(cache_config)
+    cache_mod.configure_cache(enabled=cache_on)
     _WORKER_METRICS = metrics_on
 
 

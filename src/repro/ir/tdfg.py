@@ -207,7 +207,7 @@ class TensorDFG:
         so shared subtrees are visited once.  Two tDFGs with the same
         fingerprint schedule, register-allocate and lower identically,
         which is what lets fat binaries and JIT lowerings be reused
-        across paradigms, processes and (with the disk store) runs.
+        across paradigms and simulation points.
 
         Parameter *values* are included — unlike the JIT's structural
         memo signature (§4.2) — so a cached artifact can stand in for a

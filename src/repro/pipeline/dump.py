@@ -11,8 +11,7 @@ Formats (chosen per artifact type):
 * source/program artifacts — JSON (name, source, array declarations);
 * region/tDFG artifacts — the existing ``tdfg_to_json`` encoding plus
   the content fingerprint;
-* fat-binary and lowered artifacts — pickles (the same encoding the
-  disk-persistent compilation cache uses), with a human-readable
+* fat-binary and lowered artifacts — pickles, with a human-readable
   ``.commands.txt`` sidecar for lowerings;
 * run results — a JSON summary (terminal; not replayable).
 

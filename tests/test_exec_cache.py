@@ -170,31 +170,6 @@ class TestLRU:
         assert merged.hits == 2
 
 
-class TestDiskStore:
-    def test_persists_across_instances(self, tmp_path):
-        first = CompilationCache(disk_dir=tmp_path)
-        first.put("fatbin-abc", {"payload": 42})
-        second = CompilationCache(disk_dir=tmp_path)
-        assert second.get("fatbin-abc") == {"payload": 42}
-        assert second.stats.disk_hits == 1
-
-    def test_eviction_keeps_disk_entry(self, tmp_path):
-        cache = CompilationCache(max_entries=1, disk_dir=tmp_path)
-        cache.put("a", 1)
-        cache.put("b", 2)  # evicts a from memory, not from disk
-        assert "a" not in cache
-        assert cache.get("a") == 1
-        assert cache.stats.disk_hits == 1
-
-    def test_clear_disk(self, tmp_path):
-        cache = CompilationCache(disk_dir=tmp_path)
-        cache.put("a", 1)
-        assert cache.disk_entries()
-        cache.clear(disk=True)
-        assert not cache.disk_entries()
-        assert cache.get("a") is None
-
-
 class TestCompilationReuse:
     def test_fat_binary_cached(self):
         cache = configure_cache()
@@ -382,7 +357,7 @@ class TestFileLockMultiProcess:
 
     Every in-process test above could pass with a lock that only works
     within one interpreter.  These spawn real sibling processes — the
-    configuration the serve fleet and shared compilation cache run in.
+    configuration the serve fleet runs in.
     """
 
     def _env(self):
@@ -531,80 +506,3 @@ class TestFileLockMultiProcess:
             lock = FileLock(lock_path, timeout=2.0)
             lock.acquire()
             lock.release()
-
-
-class TestSharedStoreHygiene:
-    def test_gc_removes_only_stale_tmp_files(self, tmp_path):
-        cache = CompilationCache(disk_dir=tmp_path)
-        cache.put("live-key", {"v": 1})
-        sub = tmp_path / "ab"
-        sub.mkdir(exist_ok=True)
-        stale = sub / "orphan.tmp"
-        stale.write_bytes(b"half-written pickle")
-        old = os.stat(stale).st_mtime - 600.0
-        os.utime(stale, (old, old))
-        fresh = sub / "inflight.tmp"
-        fresh.write_bytes(b"a concurrent writer owns this")
-
-        removed = cache.gc_orphans(max_age=300.0)
-        assert str(stale) in removed
-        assert not stale.exists()
-        assert fresh.exists()  # a live writer's tmp is left alone
-        assert cache.get("live-key") == {"v": 1}  # real entries untouched
-
-    def test_startup_gc_runs_automatically(self, tmp_path):
-        first = CompilationCache(disk_dir=tmp_path)
-        first.put("k", 1)
-        orphan = next(tmp_path.glob("*/")) / "dead.tmp"
-        orphan.write_bytes(b"x")
-        old = os.stat(orphan).st_mtime - 600.0
-        os.utime(orphan, (old, old))
-        CompilationCache(disk_dir=tmp_path)  # constructor sweeps
-        assert not orphan.exists()
-
-    def test_gc_reconciles_index_with_pickles(self, tmp_path):
-        import json
-
-        cache = CompilationCache(disk_dir=tmp_path)
-        cache.put("kept", {"v": 1})
-        # Simulate a writer killed between pickle publish and index
-        # update: the index claims an entry whose pickle never landed.
-        index = dict(cache.disk_index())
-        index["ghost-entry"] = 999
-        (tmp_path / "index.json").write_text(json.dumps(index))
-
-        cache.gc_orphans()
-        reconciled = cache.disk_index()
-        assert "ghost-entry" not in reconciled
-        assert "kept" in reconciled
-
-    def test_index_tracks_disk_entries(self, tmp_path):
-        cache = CompilationCache(disk_dir=tmp_path)
-        cache.put("a", 1)
-        cache.put("b", {"x": 2})
-        index = cache.disk_index()
-        assert set(index) == {"a", "b"}
-        assert index == dict(cache.disk_entries())
-
-    def test_concurrent_writers_leave_consistent_index(self, tmp_path):
-        import threading
-
-        def writer(worker_id):
-            mine = CompilationCache(disk_dir=tmp_path)
-            for i in range(8):
-                mine.put(f"w{worker_id}-k{i}", {"worker": worker_id, "i": i})
-
-        threads = [
-            threading.Thread(target=writer, args=(w,)) for w in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        cache = CompilationCache(disk_dir=tmp_path)
-        expected = {f"w{w}-k{i}" for w in range(4) for i in range(8)}
-        assert {k for k, _ in cache.disk_entries()} == expected
-        assert set(cache.disk_index()) == expected
-        for key in expected:
-            assert cache.get(key) is not None

@@ -7,7 +7,8 @@ import copy
 import pytest
 
 from repro.errors import PipelineError
-from repro.exec.cache import configure_cache, configure_from, export_config
+from repro.exec import cache as cache_mod
+from repro.exec.cache import configure_cache
 from repro.geometry.hyperrect import Hyperrect
 from repro.ir.dtypes import DType
 from repro.ir.nodes import ComputeNode, TensorNode
@@ -221,7 +222,7 @@ class TestInstrumentation:
         assert "jit-lower" in table and "wall[ms]" in table
 
     def test_stage_scoped_cache_counters(self):
-        saved = export_config()
+        saved = cache_mod._active
         try:
             configure_cache(enabled=True)
             pm = compile_pipeline()
@@ -234,7 +235,7 @@ class TestInstrumentation:
             cold_fb = [r for r in cold.records if r.stage == "fatbinary"][0]
             assert cold_fb.cache_hits == 0
         finally:
-            configure_from(saved)
+            cache_mod._active = saved
 
     def test_dump_writes_manifest_and_artifacts(self, tmp_path):
         compile_pipeline(hooks=[DumpHooks(tmp_path)]).run(saxpy_source())

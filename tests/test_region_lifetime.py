@@ -4,8 +4,8 @@ Regions die by reference counting: a simulation point leaves nothing
 for the cycle collector, so a campaign never pays for full collections
 of every region it built.  Equal workloads share one instantiated kernel
 through the active compilation cache, and the timing engine memoizes a
-region's probe results, but neither memo crosses a pickle, the disk
-store, a disabled cache or an observed run.
+region's probe results, but neither memo crosses a pickle, a disabled
+cache or an observed run.
 """
 
 from __future__ import annotations
@@ -110,14 +110,15 @@ def test_equal_workloads_share_a_kernel_only_with_a_cache():
     ).kernel
 
 
-def test_kernel_entries_never_reach_the_disk_store(tmp_path):
-    cache = configure_cache(disk_dir=tmp_path)
+def test_a_run_keeps_one_kernel_entry_outside_the_lookup_counts():
+    cache = configure_cache()
     wl = workload("stencil1d", SCALE)
     InfinityStreamRunner().run(wl)
-    resident = [key for key in cache._lru if key.startswith("kernel-")]
-    assert len(resident) == 1
-    stored = [key for key, _size in cache.disk_entries()]
-    assert stored and not [key for key in stored if key.startswith("kernel-")]
+    kernels = [key for key in cache._lru if key.startswith("kernel-")]
+    assert len(kernels) == 1
+    before = cache.stats.copy()
+    assert workload("stencil1d", SCALE).kernel is wl.kernel
+    assert cache.stats == before  # resident entries are not lookups
 
 
 def test_pickled_lowered_region_carries_no_timing_memo():
