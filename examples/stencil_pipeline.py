@@ -41,7 +41,7 @@ def main() -> None:
     # --- what the JIT produced -----------------------------------------
     region = program.instantiate({"M": 2048, "N": 2048}).first_region()
     jit = JITCompiler()
-    res = jit.compile_region(compile_fat_binary(region.tdfg), region.signature)
+    res = jit.compile_region(compile_fat_binary(region.tdfg))
     lowered = res.lowered
     print(f"\nChosen tile: {lowered.tile} (shift-friendly, close to square)")
     print(f"Commands: {lowered.num_commands} "
@@ -55,7 +55,7 @@ def main() -> None:
           f"({intra/(intra+inter):.0%} stays inside the SRAM arrays)")
 
     # Re-lowering the same region hits the JIT memo (iterative kernels).
-    again = jit.compile_region(compile_fat_binary(region.tdfg), region.signature)
+    again = jit.compile_region(compile_fat_binary(region.tdfg))
     print(f"Second lowering memoized: {again.memo_hit} "
           f"({again.jit_cycles:.0f} vs {res.jit_cycles:.0f} cycles)")
 

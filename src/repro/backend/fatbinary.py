@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SchedulingError
-from repro.exec.cache import CompilationCache, active_cache, stable_digest
+from repro.exec.cache import active_cache, stable_digest
 from repro.ir.sdfg import StreamDFG
 from repro.ir.tdfg import TensorDFG
 
@@ -53,8 +53,6 @@ def compile_fat_binary(
     sram_sizes: tuple[int, ...] = COMMON_SRAM_SIZES,
     spill_mode: str = "error",
     virtual_fuse: int = 1,
-    cache: CompilationCache | None = None,
-    use_cache: bool = True,
 ) -> FatBinary:
     """Schedule + register-allocate the tDFG for each SRAM size.
 
@@ -62,13 +60,12 @@ def compile_fat_binary(
     (DRAM spill streams, fused virtual arrays).
 
     Compilation is pure in the tDFG and its options, so results are
-    memoized in the content-addressed cache (*cache*, defaulting to the
-    process-global one; ``use_cache=False`` opts out).  Cached binaries
-    are shared objects — consumers must treat them as immutable, which
-    they do: scheduling and register allocation happen here, and the
-    JIT/timing layers only read the scheduled configs.
+    memoized in the process-global content-addressed cache.  Cached
+    binaries are shared objects — consumers must treat them as
+    immutable, which they do: scheduling and register allocation happen
+    here, and the JIT/timing layers only read the scheduled configs.
     """
-    cache = (cache or active_cache()) if use_cache else None
+    cache = active_cache()
     key = None
     if cache is not None:
         # Stage-scoped key: a hit skips only the fatbinary stage's

@@ -15,7 +15,6 @@ from repro.exec.cache import (
     CacheStats,
     CompilationCache,
     active_cache,
-    canonical,
     configure_cache,
     result_digest,
     stable_digest,
@@ -28,7 +27,6 @@ __all__ = [
     "PointExecutor",
     "SectionTiming",
     "active_cache",
-    "canonical",
     "configure_cache",
     "result_digest",
     "run_points",

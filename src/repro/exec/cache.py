@@ -210,37 +210,6 @@ class FileLock:
 # ----------------------------------------------------------------------
 # Canonical encoding + stable digests
 # ----------------------------------------------------------------------
-def canonical(obj):
-    """Encode *obj* as JSON-serializable primitives, deterministically.
-
-    Handles the value types compilation keys are made of: primitives,
-    enums, (nested, frozen) dataclasses, dicts, sequences and sets.
-    Unlike :func:`hash`, the result does not depend on the process'
-    string-hash seed, so digests agree across worker processes.
-    """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        # repr round-trips exactly; json would too, but be explicit.
-        return float.hex(obj)
-    if isinstance(obj, enum.Enum):
-        return [type(obj).__name__, obj.name]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return [type(obj).__name__] + [
-            [f.name, canonical(getattr(obj, f.name))] for f in fields(obj)
-        ]
-    if isinstance(obj, dict):
-        return ["dict"] + sorted(
-            ([canonical(k), canonical(v)] for k, v in obj.items()),
-            key=repr,
-        )
-    if isinstance(obj, (list, tuple)):
-        return [canonical(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return ["set"] + sorted((canonical(v) for v in obj), key=repr)
-    raise TypeError(f"cannot canonicalize {type(obj).__name__}: {obj!r}")
-
-
 # Per-dataclass encoding plan: (type tag, field names in declaration
 # order).  ``fields()`` walks the class dict on every call; compilation
 # keys hash the same few dataclass types thousands of times per
@@ -251,13 +220,14 @@ _DATACLASS_PLAN: dict[type, tuple[bytes, tuple[str, ...]]] = {}
 def _encode(out: list, obj) -> None:
     """Append a deterministic, injective byte encoding of *obj* to *out*.
 
-    This is the hot-path twin of :func:`canonical`: same value domain,
-    same determinism guarantees (no dependence on the string-hash seed),
-    but it emits length-prefixed byte tokens directly instead of
-    building nested lists and JSON-serializing them.  Only
-    :func:`stable_digest` consumes the encoding, so its exact byte
-    format is free to differ from ``canonical()``'s list form — digests
-    just change, and content-addressed caches re-fill.
+    Handles the value types compilation keys are made of: primitives,
+    enums, (nested, frozen) dataclasses, dicts, sequences and sets.
+    Unlike :func:`hash`, the encoding does not depend on the process'
+    string-hash seed, so digests agree across worker processes.  It
+    emits length-prefixed byte tokens; only :func:`stable_digest` and
+    :meth:`TensorDFG.fingerprint` consume them, so the byte format is
+    free to change — digests just change, and the in-memory cache
+    re-fills.
     """
     t = obj.__class__
     if t is int:
@@ -267,7 +237,7 @@ def _encode(out: list, obj) -> None:
         out.append(b"s%d:" % len(raw))
         out.append(raw)
     elif t is float:
-        # float.hex round-trips exactly, like canonical().
+        # float.hex round-trips exactly: distinct floats never collide.
         out.append(b"f" + float.hex(obj).encode() + b";")
     elif t is bool:
         out.append(b"T" if obj else b"F")
@@ -384,11 +354,10 @@ def _encode_slow(out: list, obj, t: type) -> None:
 
 
 def stable_digest(obj) -> str:
-    """SHA-256 hex digest of a deterministic encoding of *obj*.
+    """SHA-256 hex digest of the byte encoding of *obj* (:func:`_encode`).
 
-    Accepts the same value domain as :func:`canonical` and has the same
-    cross-process stability, via the streaming byte encoder above (one
-    hash over joined tokens instead of nested lists + JSON).
+    Stable across processes; raises :class:`TypeError` for a value type
+    the encoding does not cover.
     """
     out: list = []
     _encode(out, obj)

@@ -119,26 +119,6 @@ class RegionInstance:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    @property
-    def signature(self) -> str:
-        """Structural key for JIT memoization (§4.2).
-
-        Two regions with identical structure and domains share lowered
-        commands; symbolic parameter *values* do not participate, so
-        iterative kernels (stencils) memoize across host iterations while
-        shrinking kernels (Gaussian elimination) do not.
-
-        Cached per instance: the tDFG is immutable once the instance is
-        handed to the engine, and the engine re-reads the signature on
-        every execution of the region.
-        """
-        cached = self.__dict__.get("_signature")
-        if cached is None:
-            from repro.ir.printer import format_tdfg
-
-            cached = self.__dict__["_signature"] = format_tdfg(self.tdfg)
-        return cached
-
 
 class _RegionBuilder:
     def __init__(

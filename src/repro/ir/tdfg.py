@@ -197,7 +197,7 @@ class TensorDFG:
         return total
 
     # ------------------------------------------------------------------
-    # Content fingerprint (the compilation-cache key, repro.exec.cache)
+    # Content fingerprint (the compilation-cache and JIT memo key)
     # ------------------------------------------------------------------
     def fingerprint(self) -> str:
         """A SHA-256 digest of everything compilation depends on.
@@ -207,13 +207,15 @@ class TensorDFG:
         so shared subtrees are visited once.  Two tDFGs with the same
         fingerprint schedule, register-allocate and lower identically,
         which is what lets fat binaries and JIT lowerings be reused
-        across paradigms and simulation points.
+        across paradigms and simulation points, and what keys the JIT's
+        modeled memo table (§4.2).
 
-        Parameter *values* are included — unlike the JIT's structural
-        memo signature (§4.2) — so a cached artifact can stand in for a
-        fresh compile in every consumer, including functional replay.
-        The digest is cached on the instance and invalidated by
-        :meth:`declare`/:meth:`bind`.
+        Parameter *values* are included, so a cached artifact can stand
+        in for a fresh compile in every consumer, including functional
+        replay.  The frontend writes only NaN placeholders into
+        :attr:`params`, so for frontend-built regions the values never
+        separate two graphs.  The digest is cached on the instance and
+        invalidated by :meth:`declare`/:meth:`bind`.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is not None:

@@ -6,7 +6,7 @@ contract at stage boundaries.  Artifacts are thin dataclass wrappers
 around the existing compiler objects (``KernelProgram``,
 ``RegionInstance``, ``TensorDFG``, ``FatBinary``, ``JITResult``,
 ``RunResult``) plus whatever cross-stage context downstream stages need
-(size bindings, dataflow choice, the JIT memoization signature).
+(size bindings, dataflow choice).
 
 Artifacts are treated as immutable by every consumer — the same
 convention the content-addressed cache relies on.
@@ -101,13 +101,10 @@ class RegionArtifact(Artifact):
 class TDFGArtifact(Artifact):
     """``optimize`` output: the (possibly e-graph-optimized) tDFG.
 
-    ``signature`` is the structural JIT memoization key (§4.2) carried
-    forward from the region; ``report`` is ``None`` when the optimize
-    stage ran as a passthrough.
+    ``report`` is ``None`` when the optimize stage ran as a passthrough.
     """
 
     tdfg: "object"  # TensorDFG (untyped to avoid an import cycle)
-    signature: str | None = None
     report: "OptimizationReport | None" = None
 
     def size_bytes(self) -> int:
@@ -121,7 +118,6 @@ class FatBinaryArtifact(Artifact):
     """``fatbinary`` output: the region scheduled for common SRAM sizes."""
 
     binary: "FatBinary"
-    signature: str | None = None
 
     @property
     def kind(self) -> str:

@@ -63,10 +63,8 @@ def dump_artifact(
 
         if isinstance(artifact, RegionArtifact):
             tdfg = artifact.region.tdfg
-            signature = artifact.region.signature
         else:
             tdfg = artifact.tdfg
-            signature = artifact.signature
         fingerprint = tdfg.fingerprint()
         path = dump_dir / f"{base}.json"
         _write_json(
@@ -74,7 +72,6 @@ def dump_artifact(
             {
                 "artifact": "TDFGArtifact",
                 "tdfg": tdfg_to_dict(tdfg),
-                "signature": signature,
                 "fingerprint": fingerprint,
             },
         )
@@ -171,10 +168,7 @@ def _load_entry(dump_dir: Path, entry: dict) -> Artifact:
         # compilation path (optimize/fatbinary/jit-lower) is.
         from repro.ir.printer import tdfg_from_dict
 
-        return TDFGArtifact(
-            tdfg=tdfg_from_dict(data["tdfg"]),
-            signature=data.get("signature"),
-        )
+        return TDFGArtifact(tdfg=tdfg_from_dict(data["tdfg"]))
     raise PipelineError(
         f"artifact type {kind} is terminal; it cannot seed a replay",
         stage=entry["stage"],

@@ -1,6 +1,6 @@
 """Instrumentation hooks: per-stage timing and artifact dumping.
 
-Two :class:`~repro.pipeline.manager.PipelineHooks` implementations:
+Three :class:`~repro.pipeline.manager.PipelineHooks` implementations:
 
 * :class:`TimingHooks` — collects wall-clock, artifact size and
   content-cache counters per stage and renders the ``--time-passes``
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.exec.cache import CacheStats, stats_snapshot
 from repro.pipeline.artifacts import Artifact
 from repro.pipeline.manager import PipelineHooks, Stage, StageRecord
 from repro.trace import events as _trace
@@ -36,7 +37,17 @@ class TimingRow:
     cache_misses: int
 
 
-class TimingHooks(PipelineHooks):
+class _CacheDeltaHooks(PipelineHooks):
+    """Snapshot the content-cache counters around each stage."""
+
+    def on_stage_start(self, stage: Stage, artifact: Artifact) -> None:
+        self._cache_before = stats_snapshot()
+
+    def _cache_delta(self) -> CacheStats:
+        return stats_snapshot().delta(self._cache_before)
+
+
+class TimingHooks(_CacheDeltaHooks):
     """Collect per-stage wall-clock/artifact-size/cache counters."""
 
     def __init__(self) -> None:
@@ -45,14 +56,15 @@ class TimingHooks(PipelineHooks):
     def on_stage_end(
         self, stage: Stage, artifact: Artifact, record: StageRecord
     ) -> None:
+        cache = self._cache_delta()
         self.rows.append(
             TimingRow(
                 stage=stage.name,
                 artifact=type(artifact).__name__,
                 wall_seconds=record.wall_seconds,
                 artifact_bytes=artifact.size_bytes(),
-                cache_hits=record.cache_hits,
-                cache_misses=record.cache_misses,
+                cache_hits=cache.hits,
+                cache_misses=cache.misses,
             )
         )
 
@@ -83,7 +95,7 @@ class TimingHooks(PipelineHooks):
         return "\n".join(lines)
 
 
-class TraceHooks(PipelineHooks):
+class TraceHooks(_CacheDeltaHooks):
     """Forward stage completions to the active tracer/metrics registry.
 
     Timestamps use the tracer's sequence clock (wall-clock would break
@@ -94,14 +106,13 @@ class TraceHooks(PipelineHooks):
     def on_stage_end(
         self, stage: Stage, artifact: Artifact, record: StageRecord
     ) -> None:
+        cache = self._cache_delta()
         reg = _metrics.REGISTRY
         if reg is not None:
             reg.add("pipeline.stage.runs", 1.0, stage=stage.name)
-            reg.add("pipeline.stage.cache_hits", record.cache_hits, stage=stage.name)
+            reg.add("pipeline.stage.cache_hits", cache.hits, stage=stage.name)
             reg.add(
-                "pipeline.stage.cache_misses",
-                record.cache_misses,
-                stage=stage.name,
+                "pipeline.stage.cache_misses", cache.misses, stage=stage.name
             )
             reg.observe(
                 "pipeline.stage.wall_seconds",
@@ -121,8 +132,8 @@ class TraceHooks(PipelineHooks):
                 track="pipeline",
                 artifact=type(artifact).__name__,
                 wall_seconds=record.wall_seconds,
-                cache_hits=record.cache_hits,
-                cache_misses=record.cache_misses,
+                cache_hits=cache.hits,
+                cache_misses=cache.misses,
             )
 
 

@@ -6,8 +6,8 @@ A :class:`PassManager` runs an ordered list of named :class:`Stage`\\ s
 artifact (:mod:`repro.pipeline.artifacts`); the manager enforces the
 contracts, runs the stage's inter-stage verifier
 (:mod:`repro.pipeline.verify`), and drives the instrumentation hook
-protocol (``on_stage_start``/``on_stage_end``) with per-stage wall-clock
-and content-cache counters.
+protocol (``on_stage_start``/``on_stage_end``) with per-stage wall-clock;
+hooks that report content-cache counters read the cache themselves.
 
 Entry is artifact-driven: ``run(artifact)`` starts at the first stage
 whose input type matches, so a pipeline can be resumed mid-way from a
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.errors import PipelineError
-from repro.exec.cache import stats_snapshot
 from repro.pipeline.artifacts import Artifact
 
 
@@ -47,12 +46,10 @@ class Stage:
 
 @dataclass
 class StageRecord:
-    """Per-stage instrumentation counters for one pipeline run."""
+    """One stage's wall-clock time in one pipeline run."""
 
     stage: str
     wall_seconds: float = 0.0
-    cache_hits: int = 0  # content-cache hits the stage was served from
-    cache_misses: int = 0
 
 
 @dataclass
@@ -87,7 +84,7 @@ class PipelineHooks:
     def on_stage_end(
         self, stage: Stage, artifact: Artifact, record: StageRecord
     ) -> None:
-        """Called with the stage's *output* artifact and its counters."""
+        """Called with the stage's *output* artifact and its record."""
 
 
 class PassManager:
@@ -167,11 +164,9 @@ class PassManager:
                 )
             for hook in all_hooks:
                 hook.on_stage_start(stage, current)
-            cache_before = stats_snapshot()
             t0 = time.perf_counter()
             current = stage.run(current)
             wall = time.perf_counter() - t0
-            cache_delta = stats_snapshot().delta(cache_before)
             if not isinstance(current, stage.output_type):
                 raise PipelineError(
                     f"produced {type(current).__name__}, declared "
@@ -180,12 +175,7 @@ class PassManager:
                 )
             if self.verify and stage.verifier is not None:
                 stage.verifier(current, stage.name)
-            record = StageRecord(
-                stage=stage.name,
-                wall_seconds=wall,
-                cache_hits=cache_delta.hits,
-                cache_misses=cache_delta.misses,
-            )
+            record = StageRecord(stage=stage.name, wall_seconds=wall)
             run.artifacts[stage.name] = current
             run.records.append(record)
             for hook in all_hooks:

@@ -86,14 +86,10 @@ def optimize_stage(
     """E-graph optimization; a typed passthrough when ``enabled=False``."""
 
     def run(art: RegionArtifact | TDFGArtifact) -> TDFGArtifact:
-        if isinstance(art, RegionArtifact):
-            tdfg, signature = art.region.tdfg, art.region.signature
-        else:
-            tdfg, signature = art.tdfg, art.signature
+        tdfg = art.region.tdfg if isinstance(art, RegionArtifact) else art.tdfg
         if not enabled:
-            return TDFGArtifact(tdfg=tdfg, signature=signature)
+            return TDFGArtifact(tdfg=tdfg)
         from repro.egraph import optimize_tdfg
-        from repro.ir.printer import format_tdfg
 
         optimized, report = optimize_tdfg(
             tdfg,
@@ -102,9 +98,7 @@ def optimize_stage(
             strategy=strategy,
             scheduler=scheduler,
         )
-        return TDFGArtifact(
-            tdfg=optimized, signature=format_tdfg(optimized), report=report
-        )
+        return TDFGArtifact(tdfg=optimized, report=report)
 
     return Stage(
         name="optimize",
@@ -119,7 +113,6 @@ def fatbinary_stage(
     sram_sizes: tuple[int, ...] | None = None,
     spill_mode: str = "error",
     virtual_fuse: int = 1,
-    use_cache: bool = True,
 ) -> Stage:
     def run(art: TDFGArtifact) -> FatBinaryArtifact:
         from repro.backend.fatbinary import COMMON_SRAM_SIZES, compile_fat_binary
@@ -129,9 +122,8 @@ def fatbinary_stage(
             sram_sizes or COMMON_SRAM_SIZES,
             spill_mode=spill_mode,
             virtual_fuse=virtual_fuse,
-            use_cache=use_cache,
         )
-        return FatBinaryArtifact(binary=binary, signature=art.signature)
+        return FatBinaryArtifact(binary=binary)
 
     return Stage(
         name="fatbinary",
@@ -152,7 +144,7 @@ def jit_lower_stage(
         jit = JITCompiler()
 
     def run(art: FatBinaryArtifact) -> LoweredArtifact:
-        result = jit.compile_region(art.binary, art.signature, tile_override)
+        result = jit.compile_region(art.binary, tile_override)
         return LoweredArtifact(result=result, binary=art.binary)
 
     return Stage(
@@ -286,7 +278,6 @@ def region_pipeline(
     jit=None,
     sram_sizes: tuple[int, ...] | None = None,
     tile_override: tuple[int, ...] | None = None,
-    use_cache: bool = True,
     verify: bool = False,
     optimize: bool = False,
     opt_max_iterations: int = 4,
@@ -312,7 +303,7 @@ def region_pipeline(
 
         hooks.append(TraceHooks())
     stages = [
-        fatbinary_stage(sram_sizes=sram_sizes, use_cache=use_cache),
+        fatbinary_stage(sram_sizes=sram_sizes),
         jit_lower_stage(jit=jit, tile_override=tile_override),
     ]
     if optimize:

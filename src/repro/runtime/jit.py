@@ -3,8 +3,8 @@
 The division of labor keeps this fast: scheduling and register allocation
 happened statically (per SRAM size, in the fat binary), so the JIT only
 maps the scheduled tDFG onto the tiled layout and emits bit-serial
-commands.  Results are memoized by region signature — iterative kernels
-(stencils) hit the cache every host iteration, while Gaussian
+commands.  Results are memoized by tDFG fingerprint and tile — iterative
+kernels (stencils) hit the memo every host iteration, while Gaussian
 elimination's shrinking tensors miss every time (the paper's JIT outlier).
 
 The modeled JIT cost follows the paper's complexity discussion: step 3
@@ -143,7 +143,8 @@ class JITCompiler:
     Two reuse mechanisms with different roles:
 
     * the per-compiler ``_memo`` models the runtime's in-memory memo
-      table (§4.2) — hits are charged ``memo_hit_cycles``;
+      table (§4.2), keyed by tDFG fingerprint and tile override — hits
+      are charged ``memo_hit_cycles``;
     * the process-global content-addressed cache (repro.exec.cache)
       skips the host-side *work* of an identical lowering but charges
       the full modeled cost, so cached and uncached runs produce
@@ -152,8 +153,7 @@ class JITCompiler:
 
     system: SystemConfig = field(default_factory=default_system)
     cost_model: JITCostModel = field(default_factory=JITCostModel)
-    _memo: dict[str, JITResult] = field(default_factory=dict)
-    use_content_cache: bool = True
+    _memo: dict[tuple, JITResult] = field(default_factory=dict)
     stats_lowered: int = 0
     stats_hits: int = 0
     stats_cache_hits: int = 0
@@ -161,33 +161,32 @@ class JITCompiler:
     def compile_region(
         self,
         binary: FatBinary,
-        signature: str | None = None,
         tile_override: tuple[int, ...] | None = None,
     ) -> JITResult:
         """Lower one region, reusing memoized results when possible."""
-        key = (signature or binary.name) + f"|tile={tile_override}"
+        fingerprint = binary.tdfg.fingerprint()
+        key = (fingerprint, tile_override)
         cached = self._memo.get(key)
         if cached is not None:
+            hit_cycles = self.cost_model.memo_hit_cycles
             self.stats_hits += 1
             _GLOBAL_STATS.memo_hits += 1
             if _metrics.REGISTRY is not None or _trace.TRACER is not None:
-                self._observe(
-                    "memo-hit", key, self.cost_model.memo_hit_cycles, 0.0
-                )
+                self._observe("memo-hit", binary.name, hit_cycles, 0.0)
             return JITResult(
                 lowered=cached.lowered,
                 layouts=cached.layouts,
-                jit_cycles=self.cost_model.memo_hit_cycles,
+                jit_cycles=hit_cycles,
                 memo_hit=True,
                 wall_seconds=0.0,
             )
-        cache = active_cache() if self.use_content_cache else None
+        cache = active_cache()
         content_key = None
         if cache is not None:
             # Stage-scoped key: a hit skips only the jit-lower stage.
             content_key = "jit-lower-" + stable_digest(
                 [
-                    binary.tdfg.fingerprint(),
+                    fingerprint,
                     self.system.fingerprint(),
                     list(tile_override) if tile_override else None,
                 ]
@@ -210,7 +209,7 @@ class JITCompiler:
                 _GLOBAL_STATS.lowered += 1
                 _GLOBAL_STATS.cache_hits += 1
                 if _metrics.REGISTRY is not None or _trace.TRACER is not None:
-                    self._observe("cache-hit", key, jit_cycles, 0.0)
+                    self._observe("cache-hit", binary.name, jit_cycles, 0.0)
                 return result
         start = time.perf_counter()
         tdfg = binary.tdfg
@@ -255,7 +254,7 @@ class JITCompiler:
         if _metrics.REGISTRY is not None or _trace.TRACER is not None:
             self._observe(
                 "lowered",
-                key,
+                binary.name,
                 jit_cycles,
                 wall,
                 num_commands=lowered.num_commands,
@@ -266,7 +265,7 @@ class JITCompiler:
     def _observe(
         self,
         outcome: str,
-        key: str,
+        region: str,
         jit_cycles: float,
         wall_seconds: float,
         **extra,
@@ -285,22 +284,11 @@ class JITCompiler:
                 f"jit.{outcome}",
                 _Cat.COMMAND,
                 track="jit",
-                region=key,
+                region=region,
                 modeled_cycles=jit_cycles,
                 wall_seconds=wall_seconds,
                 **extra,
             )
-
-    def as_stage(self, tile_override: tuple[int, ...] | None = None):
-        """This compiler as the pipeline's ``jit-lower`` stage.
-
-        Every consumer (engine, CLI, API) lowers through
-        :class:`repro.pipeline.PassManager`; sharing one compiler across
-        pipeline runs is what preserves the memo table across regions.
-        """
-        from repro.pipeline.stages import jit_lower_stage
-
-        return jit_lower_stage(jit=self, tile_override=tile_override)
 
     def stats(self) -> JITStats:
         """This compiler's counters as a :class:`JITStats` value."""

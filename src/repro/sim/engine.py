@@ -70,10 +70,6 @@ class InfinityStreamRunner:
     tile_override: tuple[int, ...] | None = None
     use_decision: bool = True
     energy: EnergyModel = field(default_factory=EnergyModel)
-    # Opt this runner out of the process-global content-addressed
-    # compilation cache (repro.exec.cache) without reconfiguring it;
-    # modeled results are identical either way — only host time differs.
-    use_content_cache: bool = True
     # Run the inter-stage IR verifiers on every per-region pipeline.
     # Off by default on this hot path; verification never changes any
     # modeled figure, so enabling it is purely a debugging aid.
@@ -94,9 +90,7 @@ class InfinityStreamRunner:
     # ------------------------------------------------------------------
     def run(self, wl: Workload) -> RunResult:
         chip = Chip(system=self.system)
-        jit = JITCompiler(
-            system=self.system, use_content_cache=self.use_content_cache
-        )
+        jit = JITCompiler(system=self.system)
         # Per-region staged compilation: fatbinary -> jit-lower.  The
         # shared JITCompiler keeps its memo table across pipeline runs,
         # so memo-hit accounting is identical to the pre-pipeline code.
@@ -104,7 +98,6 @@ class InfinityStreamRunner:
             jit=jit,
             sram_sizes=(self.system.cache.sram.wordlines,),
             tile_override=self.tile_override,
-            use_cache=self.use_content_cache,
             verify=self.verify_pipeline,
             optimize=wl.optimize,
             opt_max_iterations=wl.opt_max_iterations,
@@ -158,7 +151,7 @@ class InfinityStreamRunner:
                     )
                     if tr is not None:
                         tr.complete(
-                            f"region {region.signature}",
+                            f"region {region.tdfg.name}",
                             TraceCat.REGION,
                             ts=before,
                             dur=cy.total - before,
@@ -223,9 +216,7 @@ class InfinityStreamRunner:
 
         if has_tensor_work:
             try:
-                jres = pipeline.run(
-                    TDFGArtifact(tdfg=tdfg, signature=region.signature)
-                ).final.result
+                jres = pipeline.run(TDFGArtifact(tdfg=tdfg)).final.result
             except LayoutError:
                 # No valid tiling: fall back to near-memory / core.
                 self._region_near_memory(wl, region, chip, result)

@@ -679,7 +679,7 @@ def execute_kernel(
             for env in kernel.host_iterations(segment):
                 region = kernel.region_at(env, segment)
                 binary = compile_fat_binary(region.tdfg, (wl,))
-                res = jit.compile_region(binary, region.signature)
+                res = jit.compile_region(binary)
                 execute_region(
                     region,
                     arrays,

@@ -71,9 +71,7 @@ class TestStatsVsTiming:
         )
         region = prog.instantiate({"N": 1 << 20}).first_region()
         jit = JITCompiler(system=system)
-        res = jit.compile_region(
-            compile_fat_binary(region.tdfg, (256,)), region.signature
-        )
+        res = jit.compile_region(compile_fat_binary(region.tdfg, (256,)))
         chip = Chip(system=system)
         timing = chip.tc.execute(
             res.lowered, next(iter(res.layouts.values()))

@@ -99,7 +99,7 @@ class TestRegionLowering:
         region = prog.instantiate(params, dataflow=dataflow).first_region()
         fb = compile_fat_binary(region.tdfg, (system.cache.sram.wordlines,))
         jit = JITCompiler(system=system)
-        return jit.compile_region(fb, region.signature)
+        return jit.compile_region(fb)
 
     def test_sync_between_inter_shift_and_consumer(self):
         res = self._lower(
@@ -156,8 +156,8 @@ class TestRegionLowering:
         region = prog.instantiate({"N": 64}).first_region()
         fb = compile_fat_binary(region.tdfg, (256,))
         jit = JITCompiler(system=system)
-        first = jit.compile_region(fb, region.signature)
-        second = jit.compile_region(fb, region.signature)
+        first = jit.compile_region(fb)
+        second = jit.compile_region(fb)
         assert not first.memo_hit and second.memo_hit
         assert second.jit_cycles < first.jit_cycles
         assert jit.hit_rate == 0.5
@@ -181,7 +181,7 @@ class TestRegionLowering:
         for env in ik.host_iterations(ik.segments[0]):
             region = ik.region_at(env, ik.segments[0])
             fb = compile_fat_binary(region.tdfg, (256,))
-            jit.compile_region(fb, region.signature)
+            jit.compile_region(fb)
         assert jit.stats_hits == 0
         assert jit.stats_lowered == 15
 

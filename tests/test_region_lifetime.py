@@ -123,9 +123,8 @@ def test_a_run_keeps_one_kernel_entry_outside_the_lookup_counts():
 
 def test_pickled_lowered_region_carries_no_timing_memo():
     region = workload("stencil2d", SCALE).kernel.first_region()
-    jres = JITCompiler().compile_region(
-        compile_fat_binary(region.tdfg, (256,)), region.signature
-    )
+    binary = compile_fat_binary(region.tdfg, (256,))
+    jres = JITCompiler().compile_region(binary)
     layout = next(iter(jres.layouts.values()))
     runner = InfinityStreamRunner()
     probe = runner._probe_timing(jres.lowered, layout)
