@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config.system import SystemConfig, default_system
-from repro.geometry.hyperrect import Hyperrect
 from repro.ir.dtypes import DType
 from repro.ir.ops import Op
 
 from repro.egraph.egraph import EGraph, ENode
+from repro.egraph.lang import term_domain
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,16 @@ def node_cost(eg: EGraph, enode: ENode, params: CostParams) -> float:
     kind = enode.label[0]
     dtype = params.dtype
     bits = params.bits
-    waves = 1.0
-    domain = _node_domain(eg, enode)
-    if domain is not None:
-        waves = max(1.0, domain.volume / params.total_bitlines)
-    if kind == "tensor":
+    if kind in ("tensor", "shrink"):
         return 0.0
     if kind == "const":
         return bits * 0.25  # one constant broadcast, amortized
-    if kind == "shrink":
-        return 0.0
+    if kind == "stream":
+        return params.stream_cost
+    domain, _ = term_domain(eg, enode.label, enode.children)
+    waves = 1.0
+    if domain is not None:
+        waves = max(1.0, domain.volume / params.total_bitlines)
     if kind == "cmp":
         op = Op(enode.label[1])
         return (op.bitserial_cycles(dtype) + params.command_overhead) * waves
@@ -71,31 +71,14 @@ def node_cost(eg: EGraph, enode: ENode, params: CostParams) -> float:
         return (2.0 * bits + params.command_overhead) * waves
     if kind == "bc":
         return (2.0 * bits * params.bc_factor + params.command_overhead) * waves
-    if kind == "reduce":
-        if domain is None:
-            rounds = 8.0
-        else:
-            src = eg.domain(enode.children[0])
-            extent = src.shape[enode.label[2]] if src is not None else 256
-            rounds = max(1, extent - 1).bit_length()
-        per_round = params.reduce_round_cost
-        if per_round is None:
-            per_round = Op.ADD.bitserial_cycles(dtype) + 2.0 * bits
-        return (per_round + params.command_overhead) * rounds * waves
-    if kind == "stream":
-        return params.stream_cost
-    return params.command_overhead
-
-
-def _node_domain(eg: EGraph, enode: ENode) -> Hyperrect | None:
-    """Best-effort domain of an e-node via its class analysis."""
-    try:
-        # The node is canonical within some class; use any child's info to
-        # recompute would duplicate lang.term_domain — instead rely on the
-        # class domain where the node lives if discoverable.
-        from repro.egraph.lang import term_domain
-
-        domain, has = term_domain(eg, enode.label, enode.children)
-        return domain if has else None
-    except Exception:
-        return None
+    # reduce (term_domain rejects every other kind)
+    if domain is None:
+        rounds = 8.0
+    else:
+        src = eg.domain(enode.children[0])
+        extent = src.shape[enode.label[2]] if src is not None else 256
+        rounds = max(1, extent - 1).bit_length()
+    per_round = params.reduce_round_cost
+    if per_round is None:
+        per_round = Op.ADD.bitserial_cycles(dtype) + 2.0 * bits
+    return (per_round + params.command_overhead) * rounds * waves

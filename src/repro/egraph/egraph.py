@@ -33,10 +33,22 @@ the last query instead of the whole graph:
 ``tick`` counts every structural change (node insertion or effective
 union); ``version`` keeps its historical meaning of counting effective
 unions only, which the saturation driver uses for fixpoint detection.
+
+Analysis memo
+-------------
+A class's domain is fixed when the class is created, with one
+exception: a union of a class without a domain (a constant) and one
+with a domain gives the merged class that domain.  ``domain_gains``
+counts those unions.  Everything derived from the children's analyses
+(``lang.term_domain`` and the extractor's node costs) therefore stays
+valid until that counter moves; ``domain_memo`` holds
+``term_domain``'s results, keyed by the label and the children's
+analyses, so it never goes stale.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import OptimizationError
@@ -84,6 +96,10 @@ class EGraph:
         self._kind_classes: dict[str, set[int]] = {}
         #: append-only (tick, class) journal of structural changes
         self._touch_log: list[tuple[int, int]] = []
+        #: unions that gave a domain to a class that had none
+        self.domain_gains = 0
+        #: (label, children's analyses) -> lang.term_domain result
+        self.domain_memo: dict[tuple, tuple[Hyperrect | None, bool]] = {}
 
     # ------------------------------------------------------------------
     # Union-find
@@ -119,16 +135,23 @@ class EGraph:
     def add(
         self, label: tuple, children: tuple[int, ...] = (),
         domain: Hyperrect | None = None, has_domain: bool = True,
+        analysis: Callable[
+            [EGraph, tuple, tuple[int, ...]], tuple[Hyperrect | None, bool]
+        ] | None = None,
     ) -> int:
         """Add (or find) a node; returns its e-class id.
 
         ``domain`` is the analysis value for a *new* class.  ``has_domain``
-        False marks infinite tensors (constants).
+        False marks infinite tensors (constants).  ``analysis(eg, label,
+        children)``, when given, derives ``(domain, has_domain)`` instead,
+        and is called only if the node is new.
         """
         node = ENode(label, tuple(self.find(c) for c in children))
         existing = self._hashcons.get(node)
         if existing is not None:
             return self.find(existing)
+        if analysis is not None:
+            domain, has_domain = analysis(self, label, node.children)
         cid = self._new_class(node, domain, has_domain)
         self._hashcons[node] = cid
         return cid
@@ -156,6 +179,7 @@ class EGraph:
         if domain_gained:
             self._domains[ra] = self._domains[rb]
             self._has_domain[ra] = True
+            self.domain_gains += 1
         self._domains.pop(rb, None)
         self._has_domain.pop(rb, None)
         # Merge parent lists so rebuild repairs exactly the affected nodes.
@@ -286,8 +310,16 @@ class EGraph:
     def has_domain(self, cid: int) -> bool:
         return self._has_domain[self.find(cid)]
 
+    def analysis(self, cid: int) -> tuple[bool, Hyperrect | None]:
+        """``(has_domain, domain)`` of the class, with one find."""
+        root = self.find(cid)
+        return self._has_domain[root], self._domains[root]
+
     def classes(self) -> list[int]:
-        return [cid for cid in range(len(self._parent)) if self.find(cid) == cid]
+        """Canonical class ids, ascending: ``_classes`` holds exactly the
+        roots, in creation order (a union only removes the merged-away
+        class)."""
+        return list(self._classes)
 
     @property
     def num_nodes(self) -> int:

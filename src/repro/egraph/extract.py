@@ -11,7 +11,10 @@ The :class:`Extractor` is *incremental*: it memoizes per-node costs and
 per-class best choices, and a :meth:`~Extractor.refresh` after more
 saturation recomputes only classes touched since the previous pass (via
 the e-graph's touch log), propagating cost changes upward along parent
-lists instead of re-running the global fixpoint.  The saturation driver
+lists instead of re-running the global fixpoint.  A node's cost depends
+only on its label and its children's domains, so the node-cost memo
+lasts the whole run; only a union that gives a domain to a class that
+had none (``EGraph.domain_gains``) clears it.  The saturation driver
 keeps one extractor alive across the run, so the post-saturation
 extraction reuses everything computed for the pre-saturation baseline.
 """
@@ -45,6 +48,7 @@ class Extractor:
         self.cost: dict[int, float] = {}
         self._node_cost: dict[ENode, float] = {}
         self._tick = -1  # e-graph tick covered by the last refresh
+        self._domain_gains = eg.domain_gains  # as of the node-cost memo
 
     # ------------------------------------------------------------------
     def _ncost(self, node: ENode) -> float:
@@ -122,13 +126,12 @@ class Extractor:
         else:
             seed = eg.touched_since(self._tick)
         self._tick = eg.tick
-        work = {eg.find(c) for c in seed}
-        # Touched classes may have changed domains (domain-gain unions),
-        # which shifts term_domain-derived node costs: drop their memos.
-        for cid in work:
-            for node in eg.nodes(cid):
-                self._node_cost.pop(node, None)
-        pending = list(work)
+        if eg.domain_gains != self._domain_gains:
+            # A class gained a domain, which changes the domain (and so
+            # the cost) of the nodes above it.
+            self._domain_gains = eg.domain_gains
+            self._node_cost.clear()
+        pending = list({eg.find(c) for c in seed})
         in_work = set(pending)
         budget = 50 * (len(eg.classes()) + len(pending)) + 100
         pops = 0
@@ -283,7 +286,6 @@ class Extractor:
         eg = self.eg
         self.best.clear()
         self.cost.clear()
-        self._node_cost.clear()
         classes = eg.classes()
         changed = True
         rounds = 0

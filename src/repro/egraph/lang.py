@@ -129,55 +129,73 @@ def term_domain(
     """Domain analysis for a prospective term (mirrors IR node semantics).
 
     Returns ``(domain, has_domain)``; ``has_domain`` False marks infinite
-    (constant) tensors.
+    (constant) tensors and scalar (reduce-stream) values.  The result
+    depends only on the label and the children's analyses, which key
+    its memo on the e-graph.
     """
+    analyses = tuple(eg.analysis(c) for c in children)
+    key = (label, analyses)
+    out = eg.domain_memo.get(key)
+    if out is None:
+        out = eg.domain_memo[key] = _derive_domain(label, analyses)
+    return out
+
+
+def _derive_domain(
+    label: tuple, analyses: tuple[tuple[bool, Hyperrect | None], ...]
+) -> tuple[Hyperrect | None, bool]:
     kind = label[0]
     if kind == "tensor":
-        return _rect(label[1 + 1]), True
+        return _rect(label[2]), True
     if kind == "const":
         return None, False
     if kind == "cmp":
         out: Hyperrect | None = None
         any_domain = False
-        for c in children:
-            if not eg.has_domain(c):
+        for has, d in analyses:
+            if not has:
                 continue
-            d = eg.domain(c)
             any_domain = True
             out = d if out is None else out.intersect(d)  # type: ignore[union-attr]
         return out, any_domain
     if kind == "mv":
-        if not eg.has_domain(children[0]):
+        has, d = analyses[0]
+        if not has:
             return None, False
-        d = eg.domain(children[0])
         assert d is not None
         return d.shifted(label[1], label[2]), True
     if kind == "bc":
-        if not eg.has_domain(children[0]):
+        has, d = analyses[0]
+        if not has:
             return None, False
-        d = eg.domain(children[0])
         assert d is not None
         return d.broadcast(label[1], label[2], label[3]), True
     if kind == "shrink":
-        d = eg.domain(children[0])
+        d = analyses[0][1]
         if d is None:
             raise OptimizationError("shrink over infinite tensor")
         return d.with_interval(label[1], label[2], label[3]), True
     if kind == "reduce":
-        d = eg.domain(children[0])
+        d = analyses[0][1]
         if d is None:
             raise OptimizationError("reduce over infinite tensor")
         p, _ = d.interval(label[2])
         return d.with_interval(label[2], p, p + 1), True
     if kind == "stream":
+        # StreamNode.domain: a load covers its region, a store its region
+        # or else its input's domain, and a reduce yields a scalar.
         bounds = label[3]
-        if bounds is None:
+        if label[2] == StreamKind.REDUCE.value:
             return None, False
-        return _rect(bounds), True
+        if bounds is not None:
+            return _rect(bounds), True
+        if label[2] == StreamKind.STORE.value:
+            has, d = analyses[0]
+            return d, has
+        return None, False
     raise OptimizationError(f"unknown label kind {kind!r}")
 
 
 def add_term(eg: EGraph, label: tuple, children: tuple[int, ...]) -> int:
-    """Add a term computing its domain analysis automatically."""
-    domain, has = term_domain(eg, label, children)
-    return eg.add(label, children, domain=domain, has_domain=has)
+    """Add a term, deriving its domain analysis only when it is new."""
+    return eg.add(label, children, analysis=term_domain)

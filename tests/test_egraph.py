@@ -5,13 +5,15 @@ import pytest
 from repro.egraph import EGraph, optimize_tdfg
 from repro.egraph.cost import CostParams
 from repro.egraph.extract import best_nodes, dag_cost
-from repro.egraph.lang import add_node, add_term
+from repro.egraph.lang import add_node, add_term, term_domain
 from repro.errors import OptimizationError
 from repro.frontend import parse_kernel
 from repro.geometry import Hyperrect
 from repro.ir.builder import TDFGBuilder
+from repro.ir.nodes import StreamKind, StreamNode, TensorNode, walk
 from repro.ir.ops import Op
 from repro.ir.printer import format_tdfg
+from repro.registry import WORKLOADS
 from repro.sim.functional import execute_kernel, interpret_kernel
 
 from tests.conftest import make_arrays
@@ -58,6 +60,47 @@ class TestEGraphCore:
         )
         with pytest.raises(OptimizationError):
             eg.union(a, b)
+
+    @pytest.mark.parametrize("name", WORKLOADS.names())
+    def test_term_domain_mirrors_ir_domain(self, name):
+        """Every node of every region at scale 0.05: the e-graph's
+        domain analysis of a term equals the IR node's domain (reduce
+        streams carry none, a region-less store its input's)."""
+        wl = WORKLOADS.create(name, scale=0.05)
+        kernel = wl.program.instantiate(
+            {k: int(v) for k, v in wl.params.items()}, dataflow=wl.dataflow
+        )
+        for region in kernel.regions():
+            tdfg = region.tdfg
+            roots = [b.node for b in tdfg.results] + list(tdfg.scalar_results)
+            eg = EGraph()
+            cache: dict[int, int] = {}
+            seen: set[int] = set()
+            for root in roots:
+                add_node(eg, root, cache)
+                for node in walk(root, seen):
+                    (enode,) = eg.nodes(cache[id(node)])
+                    assert term_domain(eg, enode.label, enode.children) == (
+                        node.domain, node.domain is not None
+                    ), f"{region.tdfg.name}: {node}"
+
+    def test_term_domain_of_each_stream_kind(self):
+        rect = Hyperrect.from_bounds([(0, 8)])
+        src = TensorNode("A", rect)
+        streams = [
+            StreamNode("ld", StreamKind.LOAD, region=rect),
+            StreamNode("st", StreamKind.STORE, (src,), region=rect),
+            StreamNode("st_in", StreamKind.STORE, (src,)),
+            StreamNode("red", StreamKind.REDUCE, (src,), combiner=Op.ADD),
+        ]
+        eg = EGraph()
+        cache: dict[int, int] = {}
+        for node in streams:
+            (enode,) = eg.nodes(add_node(eg, node, cache))
+            assert term_domain(eg, enode.label, enode.children) == (
+                node.domain, node.domain is not None
+            ), node.stream
+        assert [s.domain for s in streams] == [rect, rect, rect, None]
 
 
 def _optimize_kernel(src, arrays, params, **opt_kw):

@@ -20,7 +20,9 @@ Covers the optimizer's control surface around the indexed matcher:
   bit-deterministic across repeated invocations, and extraction never
   regresses past the input cost;
 * the ``egraph.*`` metrics and stats surfaced through
-  :class:`OptimizationReport` and ``repro compile --egraph-stats``.
+  :class:`OptimizationReport` and ``repro compile --egraph-stats``;
+* the extractor's node-cost memo, which lasts the whole run and is
+  cleared only by a union that gives a class a domain.
 """
 
 from __future__ import annotations
@@ -32,12 +34,17 @@ from repro.egraph import (
     SCHEDULERS,
     STRATEGIES,
     BackoffScheduler,
+    EGraph,
     GreedyScheduler,
     optimize_tdfg,
     validate_optimizer_knobs,
 )
+from repro.egraph.cost import CostParams
+from repro.egraph.extract import Extractor
+from repro.egraph.lang import add_term
 from repro.errors import JobSpecError, OptimizationError
 from repro.frontend import parse_kernel
+from repro.geometry import Hyperrect
 from repro.serve.jobs import validate_spec
 from repro.trace import events as trace_events
 from repro.trace import metrics as trace_metrics
@@ -459,3 +466,49 @@ class TestReportStats:
     def test_backoff_report_carries_scheduler_name(self):
         _, report = optimize_tdfg(_factor_tdfg(), scheduler="backoff")
         assert report.scheduler == "backoff"
+
+
+# ----------------------------------------------------------------------
+# The extractor's node-cost memo
+# ----------------------------------------------------------------------
+class TestNodeCostMemo:
+    def test_domain_gain_reprices_parent_nodes(self):
+        # P = {mul(c, c), add(k1, k2)} over constants: mul is the cheaper
+        # witness while c has no domain (one wave).  A union then gives c
+        # a 4096x4096 domain, four waves of the default system's
+        # bitlines, so mul(c, c) costs four times as much and add(k1, k2)
+        # wins.  No saturation run unions a constant with a tensor; this
+        # is the one event that must clear the memo.
+        eg = EGraph()
+        params = CostParams()
+        c, k1, k2 = (
+            eg.add(("const", v, "fp32"), (), has_domain=False)
+            for v in (2.0, 3.0, 4.0)
+        )
+        mul = add_term(eg, ("cmp", "mul"), (c, c))
+        eg.union(mul, add_term(eg, ("cmp", "add"), (k1, k2)))
+        eg.rebuild()
+        ex = Extractor(eg, params)
+        ex.refresh()
+        assert ex.best[eg.find(mul)].label == ("cmp", "mul")
+
+        bounds = ((0, 4096), (0, 4096))
+        tensor = eg.add(
+            ("tensor", "T", bounds, "fp32"), (),
+            domain=Hyperrect.from_bounds(bounds),
+        )
+        eg.union(c, tensor)
+        eg.rebuild()
+        assert eg.domain_gains == 1
+        ex.refresh()
+
+        fresh = Extractor(eg, params)
+        fresh.refresh()
+        classes = eg.classes()
+        assert {cid: ex.cost[cid] for cid in classes} == {
+            cid: fresh.cost[cid] for cid in classes
+        }
+        assert {cid: ex.best[cid] for cid in classes} == {
+            cid: fresh.best[cid] for cid in classes
+        }
+        assert ex.best[eg.find(mul)].label == ("cmp", "add")
