@@ -71,13 +71,11 @@ def node_cost(eg: EGraph, enode: ENode, params: CostParams) -> float:
         return (2.0 * bits + params.command_overhead) * waves
     if kind == "bc":
         return (2.0 * bits * params.bc_factor + params.command_overhead) * waves
-    # reduce (term_domain rejects every other kind)
-    if domain is None:
-        rounds = 8.0
-    else:
-        src = eg.domain(enode.children[0])
-        extent = src.shape[enode.label[2]] if src is not None else 256
-        rounds = max(1, extent - 1).bit_length()
+    # reduce: term_domain rejects every other kind, and a reduce over a
+    # tensor without a domain
+    src = eg.domain(enode.children[0])
+    assert src is not None
+    rounds = max(1, src.shape[enode.label[2]] - 1).bit_length()
     per_round = params.reduce_round_cost
     if per_round is None:
         per_round = Op.ADD.bitserial_cycles(dtype) + 2.0 * bits
