@@ -82,7 +82,7 @@ class TestEGraphCore:
                     (enode,) = eg.nodes(cache[id(node)])
                     assert term_domain(eg, enode.label, enode.children) == (
                         node.domain, node.domain is not None
-                    ), f"{region.tdfg.name}: {node}"
+                    ), f"{tdfg.name}: {node}"
 
     def test_term_domain_of_each_stream_kind(self):
         rect = Hyperrect.from_bounds([(0, 8)])
