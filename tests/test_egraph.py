@@ -30,8 +30,11 @@ class TestEGraphCore:
         eg = EGraph()
         a = eg.add(("const", 1.0, "fp32"), (), has_domain=False)
         b = eg.add(("const", 2.0, "fp32"), (), has_domain=False)
+        c = eg.add(("const", 3.0, "fp32"), (), has_domain=False)
         eg.union(a, b)
         assert eg.find(a) == eg.find(b)
+        # classes() lists the canonical ids only, ascending.
+        assert eg.classes() == sorted({eg.find(a), c})
 
     def test_congruence_closure(self):
         """f(a) and f(b) merge once a == b."""
