@@ -49,7 +49,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.egraph import optimize_tdfg
+from repro.egraph import OptimizerConfig, optimize_tdfg
 from repro.workloads import suite
 
 from benchmarks import gate
@@ -90,14 +90,14 @@ def _measure(tdfg, strategy, repeats):
     best = float("inf")
     best_sat = float("inf")
     report = None
+    config = OptimizerConfig(
+        max_iterations=PROTOCOL["max_iterations"],
+        node_budget=PROTOCOL["node_budget"],
+        strategy=strategy,
+    )
     for _ in range(repeats):
         t0 = time.perf_counter()
-        _, rep = optimize_tdfg(
-            tdfg,
-            max_iterations=PROTOCOL["max_iterations"],
-            node_budget=PROTOCOL["node_budget"],
-            strategy=strategy,
-        )
+        _, rep = optimize_tdfg(tdfg, config)
         wall = time.perf_counter() - t0
         sat = (
             rep.phases.match_seconds

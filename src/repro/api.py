@@ -24,6 +24,7 @@ the paper's configurations.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Mapping
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.config.system import (
     default_system,
     small_test_system,
 )
-from repro.egraph import OptimizationReport
+from repro.egraph import OptimizationReport, OptimizerConfig
 from repro.frontend import KernelProgram
 from repro.ir.dtypes import DType
 from repro.pipeline import (
@@ -146,10 +147,10 @@ def optimize(
     program: KernelProgram,
     params: Mapping[str, int],
     dataflow: str = "inner",
-    max_iterations: int = 4,
+    config: OptimizerConfig = OptimizerConfig(),
 ):
     """E-graph-optimize the kernel's first region; returns (tdfg, report)."""
-    pipeline = compile_pipeline(optimize=True, max_iterations=max_iterations)
+    pipeline = compile_pipeline(optimize=True, **asdict(config))
     result = pipeline.run(
         ProgramArtifact(program=program, params=dict(params), dataflow=dataflow),
         until="optimize",

@@ -9,7 +9,6 @@ Commands
 ``offload``   evaluate the Eq. 2 in-/near-memory decision;
 ``replay-artifact``  re-run pipeline stages from a ``--dump-dir``
               artifact dump;
-``figures``   regenerate the paper's evaluation tables (run_all);
 ``list``      list registered workloads/paradigms/systems/figures
               (decorated built-ins plus entry-point plugins);
 ``trace``     simulate one kernel with full observability: write a
@@ -53,9 +52,11 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 
 from repro import api
-from repro.errors import ReproError
+from repro.egraph.saturate import OptimizerConfig
+from repro.errors import OptimizationError, ReproError
 from repro.ir.dtypes import DType
 from repro.ir.printer import format_tdfg
 from repro.pipeline import (
@@ -165,20 +166,17 @@ def _print_lowered(jres) -> None:
         print(f"  {cmd}")
 
 
-def _optimizer_knobs(args) -> tuple[int, int, str, str]:
-    """Validate the optimizer budgets/strategy flags (UsageError -> 1)."""
-    from repro.egraph.saturate import validate_optimizer_knobs
-
-    knobs = (
-        args.max_iterations,
-        args.node_budget,
-        args.strategy,
-        args.rule_scheduler,
-    )
-    problems = validate_optimizer_knobs(*knobs)
-    if problems:
-        raise UsageError("; ".join(problems))
-    return knobs
+def _optimizer_config(args) -> OptimizerConfig:
+    """The optimizer flags as one config (bad values: UsageError -> 1)."""
+    try:
+        return OptimizerConfig(
+            max_iterations=args.max_iterations,
+            node_budget=args.node_budget,
+            strategy=args.strategy,
+            scheduler=args.rule_scheduler,
+        )
+    except OptimizationError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _print_egraph_stats(report) -> None:
@@ -216,16 +214,11 @@ def _print_egraph_stats(report) -> None:
 def cmd_compile(args) -> int:
     if args.egraph_stats:
         args.optimize = True
-    max_iterations, node_budget, strategy, scheduler = _optimizer_knobs(args)
+    config = _optimizer_config(args)
     timing, hooks = _instrumentation(args)
     with _observing(args):
         pipeline = compile_pipeline(
-            optimize=args.optimize,
-            max_iterations=max_iterations,
-            node_budget=node_budget,
-            strategy=strategy,
-            scheduler=scheduler,
-            hooks=hooks,
+            optimize=args.optimize, hooks=hooks, **asdict(config)
         )
         if args.lower:
             until = "jit-lower"
@@ -266,18 +259,14 @@ def _system_config(args):
 
 
 def cmd_simulate(args) -> int:
-    max_iterations, node_budget, strategy, scheduler = _optimizer_knobs(args)
+    config = _optimizer_config(args)
     timing, hooks = _instrumentation(args)
     with _observing(args):
         pipeline = simulate_pipeline(
             paradigm=args.paradigm,
             iterations=args.iterations,
             system=_system_config(args),
-            optimize=args.optimize,
-            opt_max_iterations=max_iterations,
-            opt_node_budget=node_budget,
-            opt_strategy=strategy,
-            opt_scheduler=scheduler,
+            optimizer=config if args.optimize else None,
             hooks=hooks,
         )
         result = pipeline.run(_source_artifact(args)).final.result
@@ -695,15 +684,6 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def cmd_figures(args) -> int:
-    from benchmarks import run_all  # noqa: F401 (module check)
-
-    sys.argv = ["run_all", "--scale", str(args.scale)]
-    if args.out:
-        sys.argv += ["--out", args.out]
-    return run_all.main()
-
-
 def _add_kernel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("kernel", help="kernel source file ('-' for stdin)")
     _add_binding_args(p)
@@ -752,26 +732,27 @@ def _add_url_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _add_optimizer_args(p: argparse.ArgumentParser) -> None:
+    defaults = OptimizerConfig()
     p.add_argument(
         "--max-iterations",
         type=int,
-        default=4,
+        default=defaults.max_iterations,
         help="equality-saturation iteration budget",
     )
     p.add_argument(
         "--node-budget",
         type=int,
-        default=20_000,
+        default=defaults.node_budget,
         help="e-graph node budget (saturation stops when exceeded)",
     )
     p.add_argument(
         "--strategy",
-        default="indexed",
+        default=defaults.strategy,
         help="e-matching strategy: indexed (incremental) or naive",
     )
     p.add_argument(
         "--rule-scheduler",
-        default="greedy",
+        default=defaults.scheduler,
         help="indexed-strategy rule scheduler: greedy (cost-guided, "
         "budget-aware) or backoff (egg-style match-limit bans)",
     )
@@ -848,11 +829,6 @@ def main(argv: list[str] | None = None) -> int:
         help="print a per-stage wall-clock/artifact-size table",
     )
     p.set_defaults(fn=cmd_replay_artifact)
-
-    p = sub.add_parser("figures", help="regenerate the evaluation tables")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_figures)
 
     p = sub.add_parser(
         "list",

@@ -17,10 +17,10 @@ from repro.egraph.saturate import (
     BackoffScheduler,
     GreedyScheduler,
     OptimizationReport,
+    OptimizerConfig,
     PhaseTimings,
     RuleStats,
     optimize_tdfg,
-    validate_optimizer_knobs,
 )
 
 __all__ = [
@@ -28,11 +28,11 @@ __all__ = [
     "ENode",
     "optimize_tdfg",
     "OptimizationReport",
+    "OptimizerConfig",
     "PhaseTimings",
     "RuleStats",
     "BackoffScheduler",
     "GreedyScheduler",
     "SCHEDULERS",
     "STRATEGIES",
-    "validate_optimizer_knobs",
 ]

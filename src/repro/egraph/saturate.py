@@ -63,8 +63,7 @@ from repro.egraph.rewrites import Rule, default_rules
 STRATEGIES = ("indexed", "naive")
 SCHEDULERS = ("greedy", "backoff")
 
-#: hard floors/ceilings for the optimizer knobs (validated at the API
-#: boundary too — CLI and serve map violations to user-error exits).
+#: the floors :class:`OptimizerConfig` enforces on its budgets
 MIN_ITERATIONS = 1
 MIN_NODE_BUDGET = 64
 
@@ -127,41 +126,52 @@ class OptimizationReport:
         return self.cost_after / self.cost_before
 
 
-def validate_optimizer_knobs(
-    max_iterations: int,
-    node_budget: int,
-    strategy: str,
-    scheduler: str = "greedy",
-) -> list[str]:
-    """Human-readable problems with the knob values (empty = valid).
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """The optimizer's settings, checked when built.
 
-    Shared by every API boundary so the CLI (``UsageError`` -> exit 1)
-    and the serve job validator (``JobSpecError`` -> HTTP 400) reject
-    bad values identically.
+    ``max_iterations`` and ``node_budget`` end saturation early;
+    ``strategy`` picks incremental (``indexed``) or reference (``naive``)
+    e-matching and ``scheduler`` the indexed strategy's rule scheduler
+    (``greedy`` or ``backoff``; see the module docstring).  Every layer
+    that can run the optimizer carries one, ``None`` where it is off.
+    Bad values raise :class:`~repro.errors.OptimizationError` naming
+    each one, the text the CLI (exit 1) and serve (``JobSpecError``)
+    print.
     """
-    problems = []
-    if not isinstance(max_iterations, int) or isinstance(max_iterations, bool):
-        problems.append(f"max_iterations must be an integer, got {max_iterations!r}")
-    elif max_iterations < MIN_ITERATIONS:
-        problems.append(
-            f"max_iterations must be >= {MIN_ITERATIONS}, got {max_iterations}"
-        )
-    if not isinstance(node_budget, int) or isinstance(node_budget, bool):
-        problems.append(f"node_budget must be an integer, got {node_budget!r}")
-    elif node_budget < MIN_NODE_BUDGET:
-        problems.append(
-            f"node_budget must be >= {MIN_NODE_BUDGET}, got {node_budget}"
-        )
-    if strategy not in STRATEGIES:
-        problems.append(
-            f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}"
-        )
-    if scheduler not in SCHEDULERS:
-        problems.append(
-            f"scheduler must be one of {', '.join(SCHEDULERS)}, "
-            f"got {scheduler!r}"
-        )
-    return problems
+
+    max_iterations: int = 4
+    node_budget: int = 20_000
+    strategy: str = "indexed"
+    scheduler: str = "greedy"
+
+    def __post_init__(self) -> None:
+        problems = []
+        iters, budget = self.max_iterations, self.node_budget
+        if not isinstance(iters, int) or isinstance(iters, bool):
+            problems.append(f"max_iterations must be an integer, got {iters!r}")
+        elif iters < MIN_ITERATIONS:
+            problems.append(
+                f"max_iterations must be >= {MIN_ITERATIONS}, got {iters}"
+            )
+        if not isinstance(budget, int) or isinstance(budget, bool):
+            problems.append(f"node_budget must be an integer, got {budget!r}")
+        elif budget < MIN_NODE_BUDGET:
+            problems.append(
+                f"node_budget must be >= {MIN_NODE_BUDGET}, got {budget}"
+            )
+        if self.strategy not in STRATEGIES:
+            problems.append(
+                f"strategy must be one of {', '.join(STRATEGIES)}, "
+                f"got {self.strategy!r}"
+            )
+        if self.scheduler not in SCHEDULERS:
+            problems.append(
+                f"scheduler must be one of {', '.join(SCHEDULERS)}, "
+                f"got {self.scheduler!r}"
+            )
+        if problems:
+            raise OptimizationError("; ".join(problems))
 
 
 # ----------------------------------------------------------------------
@@ -241,14 +251,11 @@ class GreedyScheduler(BackoffScheduler):
         ban_length: int = 2,
         deadline_fraction: float = 0.25,
         min_quota: int = 256,
-        candidate_order: str = "cost",
     ) -> None:
         super().__init__(len(rules), match_limit, ban_length)
         self.priors = [r.prior for r in rules]
         self.deadline_fraction = deadline_fraction
         self.min_quota = min_quota
-        #: "cost" = most-expensive classes first; "cid" = oldest first
-        self.candidate_order = candidate_order
         n = len(rules)
         self.matched = [0] * n
         self.growth = [0] * n
@@ -635,8 +642,7 @@ class _Saturation:
         nodes0 = eg.num_nodes
         matches: list[tuple[int, int]] = []
         truncated = False
-        bounded = cap is not None or max_candidates is not None
-        if scheduler.candidate_order == "cost" and bounded:
+        if cap is not None or max_candidates is not None:
             # Only pay for the cost sort when something will truncate:
             # with no cap every candidate gets matched anyway, and the
             # union order is handled separately (benefit sort).
@@ -850,28 +856,17 @@ def _emit_metrics(
 
 def optimize_tdfg(
     tdfg: TensorDFG,
+    config: OptimizerConfig = OptimizerConfig(),
     params: CostParams | None = None,
-    max_iterations: int = 6,
-    node_budget: int = 20_000,
-    strategy: str = "indexed",
-    scheduler: str = "greedy",
 ) -> tuple[TensorDFG, OptimizationReport]:
     """Optimize a tDFG with equality saturation; returns (tdfg, report).
 
     The input is not modified; the result shares immutable nodes where
-    extraction kept them.  ``strategy`` selects incremental (indexed) or
-    reference (naive) e-matching — both extract cost-identical results.
-    ``scheduler`` picks the indexed strategy's rule scheduler: ``greedy``
-    (cost-guided, budget-aware — the default) or ``backoff`` (plain egg
-    backoff); the naive strategy has no scheduler and ignores it.
+    extraction kept them.  *config* sets the budgets, the e-matching
+    strategy (both extract cost-identical results) and the rule
+    scheduler.
     """
-    problems = validate_optimizer_knobs(
-        max_iterations, node_budget, strategy, scheduler
-    )
-    if problems:
-        raise OptimizationError(
-            "invalid optimizer knobs: " + "; ".join(problems)
-        )
+    strategy, scheduler = config.strategy, config.scheduler
     params = params or CostParams(
         dtype=next(iter(tdfg.arrays.values())).elem_type if tdfg.arrays
         else CostParams().dtype
@@ -896,7 +891,7 @@ def optimize_tdfg(
     cost_before = dag_cost(eg, extractor.best, root_ids, params)
     extract_seconds = time.perf_counter() - t_extract
 
-    sat = _Saturation(eg, rules, max_iterations, node_budget)
+    sat = _Saturation(eg, rules, config.max_iterations, config.node_budget)
     if strategy == "naive":
         sat.run_naive()
     elif scheduler == "greedy":

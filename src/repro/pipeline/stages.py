@@ -10,8 +10,9 @@ The canonical compile chain::
 
 plus the terminal ``simulate`` stage (ProgramArtifact -> RunArtifact),
 which drives the paradigm dispatch the public API exposes.  The
-``optimize`` stage always exists so the typed chain is uniform; when
-disabled it forwards the region's tDFG untouched (``report=None``).
+``optimize`` stage always exists so the typed chain is uniform; without
+an :class:`~repro.egraph.OptimizerConfig` it forwards the region's tDFG
+untouched (``report=None``).
 
 Stage bodies delegate to the existing compiler entry points
 (``parse_kernel``, ``optimize_tdfg``, ``compile_fat_binary``,
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.egraph.saturate import OptimizerConfig
 from repro.pipeline import verify as V
 from repro.pipeline.artifacts import (
     FatBinaryArtifact,
@@ -76,28 +78,16 @@ def build_region_stage() -> Stage:
     )
 
 
-def optimize_stage(
-    enabled: bool = True,
-    max_iterations: int = 4,
-    node_budget: int = 20_000,
-    strategy: str = "indexed",
-    scheduler: str = "greedy",
-) -> Stage:
-    """E-graph optimization; a typed passthrough when ``enabled=False``."""
+def optimize_stage(config: OptimizerConfig | None) -> Stage:
+    """E-graph optimization under *config*; a typed passthrough for None."""
 
     def run(art: RegionArtifact | TDFGArtifact) -> TDFGArtifact:
         tdfg = art.region.tdfg if isinstance(art, RegionArtifact) else art.tdfg
-        if not enabled:
+        if config is None:
             return TDFGArtifact(tdfg=tdfg)
         from repro.egraph import optimize_tdfg
 
-        optimized, report = optimize_tdfg(
-            tdfg,
-            max_iterations=max_iterations,
-            node_budget=node_budget,
-            strategy=strategy,
-            scheduler=scheduler,
-        )
+        optimized, report = optimize_tdfg(tdfg, config)
         return TDFGArtifact(tdfg=optimized, report=report)
 
     return Stage(
@@ -109,20 +99,11 @@ def optimize_stage(
     )
 
 
-def fatbinary_stage(
-    sram_sizes: tuple[int, ...] | None = None,
-    spill_mode: str = "error",
-    virtual_fuse: int = 1,
-) -> Stage:
+def fatbinary_stage(sram_sizes: tuple[int, ...] | None = None) -> Stage:
     def run(art: TDFGArtifact) -> FatBinaryArtifact:
         from repro.backend.fatbinary import COMMON_SRAM_SIZES, compile_fat_binary
 
-        binary = compile_fat_binary(
-            art.tdfg,
-            sram_sizes or COMMON_SRAM_SIZES,
-            spill_mode=spill_mode,
-            virtual_fuse=virtual_fuse,
-        )
+        binary = compile_fat_binary(art.tdfg, sram_sizes or COMMON_SRAM_SIZES)
         return FatBinaryArtifact(binary=binary)
 
     return Stage(
@@ -160,11 +141,7 @@ def simulate_stage(
     paradigm: str = "inf-s",
     iterations: int = 1,
     system=None,
-    optimize: bool = False,
-    opt_max_iterations: int = 4,
-    opt_node_budget: int = 20_000,
-    opt_strategy: str = "indexed",
-    opt_scheduler: str = "greedy",
+    optimizer: OptimizerConfig | None = None,
 ) -> Stage:
     """Whole-workload timing under one Fig 11 configuration.
 
@@ -185,11 +162,7 @@ def simulate_stage(
             params={k: int(v) for k, v in art.params.items()},
             dataflow=art.dataflow,
             iterations=iterations,
-            optimize=optimize,
-            opt_max_iterations=opt_max_iterations,
-            opt_node_budget=opt_node_budget,
-            opt_strategy=opt_strategy,
-            opt_scheduler=opt_scheduler,
+            optimizer=optimizer,
         )
         # One lookup path for every paradigm: the registered factory
         # already wraps Base/Near-L3 with energy annotation and
@@ -211,34 +184,23 @@ def simulate_stage(
 # Pipeline builders
 # ----------------------------------------------------------------------
 def compile_pipeline(
-    optimize: bool = False,
-    max_iterations: int = 4,
-    node_budget: int = 20_000,
-    strategy: str = "indexed",
-    scheduler: str = "greedy",
-    sram_sizes: tuple[int, ...] | None = None,
-    jit=None,
-    tile_override: tuple[int, ...] | None = None,
-    hooks: Sequence[PipelineHooks] = (),
-    verify: bool = True,
+    optimize: bool = False, hooks: Sequence[PipelineHooks] = (), **knobs
 ) -> PassManager:
-    """The full compile chain: parse → … → jit-lower."""
+    """The full compile chain: parse → … → jit-lower.
+
+    The keyword *knobs* build an :class:`OptimizerConfig`, checked either
+    way, that the optimize stage runs under when ``optimize=True``.
+    """
+    config = OptimizerConfig(**knobs)
     return PassManager(
         [
             parse_stage(),
             build_region_stage(),
-            optimize_stage(
-                enabled=optimize,
-                max_iterations=max_iterations,
-                node_budget=node_budget,
-                strategy=strategy,
-                scheduler=scheduler,
-            ),
-            fatbinary_stage(sram_sizes=sram_sizes),
-            jit_lower_stage(jit=jit, tile_override=tile_override),
+            optimize_stage(config if optimize else None),
+            fatbinary_stage(),
+            jit_lower_stage(),
         ],
         hooks=hooks,
-        verify=verify,
     )
 
 
@@ -246,31 +208,13 @@ def simulate_pipeline(
     paradigm: str = "inf-s",
     iterations: int = 1,
     system=None,
-    optimize: bool = False,
-    opt_max_iterations: int = 4,
-    opt_node_budget: int = 20_000,
-    opt_strategy: str = "indexed",
-    opt_scheduler: str = "greedy",
+    optimizer: OptimizerConfig | None = None,
     hooks: Sequence[PipelineHooks] = (),
-    verify: bool = True,
 ) -> PassManager:
     """parse → simulate (the runner pipelines per-region internally)."""
     return PassManager(
-        [
-            parse_stage(),
-            simulate_stage(
-                paradigm=paradigm,
-                iterations=iterations,
-                system=system,
-                optimize=optimize,
-                opt_max_iterations=opt_max_iterations,
-                opt_node_budget=opt_node_budget,
-                opt_strategy=opt_strategy,
-                opt_scheduler=opt_scheduler,
-            ),
-        ],
+        [parse_stage(), simulate_stage(paradigm, iterations, system, optimizer)],
         hooks=hooks,
-        verify=verify,
     )
 
 
@@ -279,13 +223,10 @@ def region_pipeline(
     sram_sizes: tuple[int, ...] | None = None,
     tile_override: tuple[int, ...] | None = None,
     verify: bool = False,
-    optimize: bool = False,
-    opt_max_iterations: int = 4,
-    opt_node_budget: int = 20_000,
-    opt_strategy: str = "indexed",
-    opt_scheduler: str = "greedy",
+    optimizer: OptimizerConfig | None = None,
 ) -> PassManager:
-    """The timing engine's per-region chain: fatbinary → jit-lower.
+    """The timing engine's per-region chain: [optimize →] fatbinary →
+    jit-lower, with the optimize stage only when *optimizer* is set.
 
     Verification defaults off here — this runs once per host-loop
     iteration on the simulation hot path; enable it for debugging
@@ -302,18 +243,7 @@ def region_pipeline(
         from repro.pipeline.hooks import TraceHooks
 
         hooks.append(TraceHooks())
-    stages = [
-        fatbinary_stage(sram_sizes=sram_sizes),
-        jit_lower_stage(jit=jit, tile_override=tile_override),
-    ]
-    if optimize:
-        stages.insert(
-            0,
-            optimize_stage(
-                max_iterations=opt_max_iterations,
-                node_budget=opt_node_budget,
-                strategy=opt_strategy,
-                scheduler=opt_scheduler,
-            ),
-        )
+    stages = [fatbinary_stage(sram_sizes), jit_lower_stage(jit, tile_override)]
+    if optimizer is not None:
+        stages.insert(0, optimize_stage(optimizer))
     return PassManager(stages, hooks=hooks, verify=verify)

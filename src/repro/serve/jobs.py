@@ -25,10 +25,16 @@ from __future__ import annotations
 import base64
 import enum
 import pickle
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
-from repro.errors import JobSpecError, JobStateError, UnknownNameError
+from repro.egraph.saturate import OptimizerConfig
+from repro.errors import (
+    JobSpecError,
+    JobStateError,
+    OptimizationError,
+    UnknownNameError,
+)
 from repro.registry import (
     FIGURES,
     INF_S,
@@ -184,6 +190,23 @@ def _validate_paradigm(spec: dict, default: str = INF_S) -> str:
     return str(paradigm)
 
 
+def _spec_optimizer(spec: dict) -> OptimizerConfig | None:
+    """The optimizer a kernel spec asks for (None = off).
+
+    The spec carries the settings as flat keys named after the config's
+    fields; a missing one takes the config's default.
+    """
+    if not spec.get("optimize"):
+        return None
+    knobs = {
+        f.name: spec[f.name] for f in fields(OptimizerConfig) if f.name in spec
+    }
+    try:
+        return OptimizerConfig(**knobs)
+    except OptimizationError as exc:
+        raise JobSpecError(str(exc)) from None
+
+
 def validate_spec(spec) -> dict:
     """Check a submitted spec; returns it normalized or raises
     :class:`~repro.errors.JobSpecError` (a user error -> HTTP 400)."""
@@ -250,23 +273,10 @@ def validate_spec(spec) -> dict:
         system = _validate_system(spec)
         if system is not None:
             out["system"] = system
-        if spec.get("optimize"):
-            from repro.egraph.saturate import validate_optimizer_knobs
-
-            knobs = {
-                "max_iterations": spec.get("max_iterations", 4),
-                "node_budget": spec.get("node_budget", 20_000),
-                "strategy": spec.get("strategy", "indexed"),
-                "scheduler": spec.get("scheduler", "greedy"),
-            }
-            problems = validate_optimizer_knobs(
-                knobs["max_iterations"], knobs["node_budget"],
-                knobs["strategy"], knobs["scheduler"],
-            )
-            if problems:
-                raise JobSpecError("; ".join(problems))
+        optimizer = _spec_optimizer(spec)
+        if optimizer is not None:
             out["optimize"] = True
-            out.update(knobs)
+            out.update(asdict(optimizer))
         return out
     raise JobSpecError(
         f"job kind must be 'kernel', 'workload' or 'campaign', got {kind!r}"
@@ -346,11 +356,7 @@ def _run_kernel_spec(spec: dict) -> dict:
         paradigm=spec["paradigm"],
         iterations=spec["iterations"],
         system=SYSTEMS.create(spec["system"]) if spec.get("system") else None,
-        optimize=bool(spec.get("optimize", False)),
-        opt_max_iterations=int(spec.get("max_iterations", 4)),
-        opt_node_budget=int(spec.get("node_budget", 20_000)),
-        opt_strategy=str(spec.get("strategy", "indexed")),
-        opt_scheduler=str(spec.get("scheduler", "greedy")),
+        optimizer=_spec_optimizer(spec),
     )
     result = pipeline.run(source).final.result
     return {

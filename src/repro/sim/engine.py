@@ -99,11 +99,7 @@ class InfinityStreamRunner:
             sram_sizes=(self.system.cache.sram.wordlines,),
             tile_override=self.tile_override,
             verify=self.verify_pipeline,
-            optimize=wl.optimize,
-            opt_max_iterations=wl.opt_max_iterations,
-            opt_node_budget=wl.opt_node_budget,
-            opt_strategy=wl.opt_strategy,
-            opt_scheduler=wl.opt_scheduler,
+            optimizer=wl.optimizer,
         )
         result = RunResult(workload=wl.name, paradigm=self.paradigm)
         cy = result.cycles

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
+from repro.egraph.saturate import OptimizerConfig
 from repro.exec.cache import active_cache, stable_digest
 from repro.frontend.classify import LoopKind, StmtMode
 from repro.frontend.kast import BinOp, Call, Expr, Ref, UnaryOp, Var, walk_refs
@@ -73,13 +74,9 @@ class Workload:
     steady_state: bool = False  # JIT results already memoized (Fig 2)
     extra_phases: tuple[NearMemPhase, ...] = ()
     elem_type: DType = DType.FP32
-    optimize: bool = False  # run the e-graph optimizer on regions
-    # Optimizer budgets/strategy forwarded to optimize_tdfg when
-    # ``optimize`` is set (the CLI / serve job-spec knobs land here).
-    opt_max_iterations: int = 4
-    opt_node_budget: int = 20_000
-    opt_strategy: str = "indexed"
-    opt_scheduler: str = "greedy"
+    # The e-graph optimizer run on every region (None = off); the CLI
+    # and serve job-spec settings land here.
+    optimizer: OptimizerConfig | None = None
     host_loops: tuple[str, ...] = ()
 
     def instantiate(self) -> InstantiatedKernel:

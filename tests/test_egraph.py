@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.egraph import EGraph, optimize_tdfg
+from repro.egraph import EGraph, OptimizerConfig, optimize_tdfg
 from repro.egraph.cost import CostParams
 from repro.egraph.extract import best_nodes, dag_cost
 from repro.egraph.lang import add_node, add_term, term_domain
@@ -109,7 +109,7 @@ class TestEGraphCore:
 def _optimize_kernel(src, arrays, params, **opt_kw):
     prog = parse_kernel("opt", src, arrays=arrays)
     region = prog.instantiate(params).first_region()
-    optimized, report = optimize_tdfg(region.tdfg, **opt_kw)
+    optimized, report = optimize_tdfg(region.tdfg, OptimizerConfig(**opt_kw))
     return region, optimized, report
 
 
@@ -120,6 +120,7 @@ class TestOptimization:
             "for i in [1, N-1):\n    B[i] = V*A[i-1] + V*A[i+1]\n",
             {"A": ("N",), "B": ("N",)},
             {"N": 16},
+            max_iterations=6,
         )
         before = region.tdfg.count_by_kind()["compute"]
         after = opt.count_by_kind()["compute"]
@@ -143,7 +144,8 @@ class TestOptimization:
 
         ik = prog.instantiate(params)
         region = ik.first_region()
-        optimized, _ = optimize_tdfg(region.tdfg)
+        config = OptimizerConfig(max_iterations=6)
+        optimized, _ = optimize_tdfg(region.tdfg, config)
         region.tdfg = optimized  # splice the optimized graph in
         ik._region_cache[(0, ())] = region
 
@@ -157,6 +159,7 @@ class TestOptimization:
             "for i in [0, N):\n    B[i] = A[i] + 1\n",
             {"A": ("N",), "B": ("N",)},
             {"N": 16},
+            max_iterations=6,
         )
         assert report.cost_after <= report.cost_before
         assert opt.count_by_kind()["compute"] <= 2

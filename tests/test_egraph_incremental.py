@@ -11,9 +11,12 @@ Covers the optimizer's control surface around the indexed matcher:
   ``egraph.scheduler.unbans`` metric) and the cost-guided
   :class:`GreedyScheduler` (prior-seeded yield order, benefit profile,
   deadline mode, growth caps, consolidation rule filter);
-* knob validation at both the library boundary (``OptimizationError``)
-  and the user boundaries (CLI exit code 1, serve ``JobSpecError``),
-  including the ``--rule-scheduler`` knob;
+* knob validation when an :class:`OptimizerConfig` is built
+  (``OptimizationError``) and at the user boundaries (CLI exit code 1,
+  serve ``JobSpecError``), including the ``--rule-scheduler`` knob;
+* the optimizer inside the timing engine: ``repro simulate --optimize``
+  under each rule scheduler, and optimize kernel jobs from validation
+  through execution;
 * cross-strategy and cross-scheduler agreement: ``indexed`` (under
   either scheduler) and ``naive`` extract cost-identical tDFGs on
   every workload kernel that saturates, budget-tripped runs are
@@ -36,8 +39,8 @@ from repro.egraph import (
     BackoffScheduler,
     EGraph,
     GreedyScheduler,
+    OptimizerConfig,
     optimize_tdfg,
-    validate_optimizer_knobs,
 )
 from repro.egraph.cost import CostParams
 from repro.egraph.extract import Extractor
@@ -45,7 +48,7 @@ from repro.egraph.lang import add_term
 from repro.errors import JobSpecError, OptimizationError
 from repro.frontend import parse_kernel
 from repro.geometry import Hyperrect
-from repro.serve.jobs import validate_spec
+from repro.serve.jobs import run_job_spec, validate_spec
 from repro.trace import events as trace_events
 from repro.trace import metrics as trace_metrics
 from repro.workloads import suite
@@ -91,9 +94,8 @@ def _rich_tdfg(n=64):
 class TestEarlyExits:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_fixpoint_saturates(self, strategy):
-        out, report = optimize_tdfg(
-            _factor_tdfg(), max_iterations=16, strategy=strategy
-        )
+        config = OptimizerConfig(max_iterations=16, strategy=strategy)
+        out, report = optimize_tdfg(_factor_tdfg(), config)
         assert report.saturated
         assert report.budget_tripped_by is None
         assert report.iterations < 16
@@ -102,16 +104,19 @@ class TestEarlyExits:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_node_budget_exhaustion_records_rule(self, strategy):
-        out, report = optimize_tdfg(
-            _rich_tdfg(), node_budget=64, strategy=strategy
+        config = OptimizerConfig(
+            max_iterations=6, node_budget=64, strategy=strategy
         )
+        out, report = optimize_tdfg(_rich_tdfg(), config)
         assert not report.saturated
         assert report.budget_tripped_by in RULE_NAMES | {"rebuild"}
         assert report.num_nodes > 64
 
     def test_budget_exhaustion_emits_trace_instant_and_metric(self):
         with trace_events.tracing() as tr, trace_metrics.collecting() as reg:
-            optimize_tdfg(_rich_tdfg(), node_budget=64)
+            optimize_tdfg(
+                _rich_tdfg(), OptimizerConfig(max_iterations=6, node_budget=64)
+            )
         names = [e.name for e in tr.events]
         assert "egraph.node_budget_exhausted" in names
         snap = reg.snapshot()
@@ -121,7 +126,8 @@ class TestEarlyExits:
         assert tripped, f"no egraph.budget_exhausted counter in {snap.counters}"
 
     def test_iteration_cap_reports_unsaturated(self):
-        _, report = optimize_tdfg(_factor_tdfg(), max_iterations=1)
+        config = OptimizerConfig(max_iterations=1)
+        _, report = optimize_tdfg(_factor_tdfg(), config)
         assert report.iterations == 1
         assert not report.saturated
         assert report.budget_tripped_by is None
@@ -129,7 +135,9 @@ class TestEarlyExits:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_no_improvement_returns_input_tdfg(self, strategy):
         tdfg = _tdfg(PLAIN_SRC, PLAIN_ARRAYS, {"N": 64})
-        out, report = optimize_tdfg(tdfg, strategy=strategy)
+        out, report = optimize_tdfg(
+            tdfg, OptimizerConfig(max_iterations=6, strategy=strategy)
+        )
         assert out is tdfg  # the fallback hands back the original object
         assert report.cost_after == report.cost_before
         assert report.improvement == 1.0  # ratio: unchanged cost
@@ -140,14 +148,15 @@ class TestEarlyExits:
 # ----------------------------------------------------------------------
 class TestKnobValidation:
     def test_valid_knobs_pass(self):
-        assert validate_optimizer_knobs(4, 20_000, "indexed") == []
-        assert validate_optimizer_knobs(1, 64, "naive") == []
+        assert OptimizerConfig(4, 20_000, "indexed") == OptimizerConfig()
+        assert OptimizerConfig(1, 64, "naive").strategy == "naive"
         for scheduler in SCHEDULERS:
-            assert validate_optimizer_knobs(4, 20_000, "indexed", scheduler) == []
+            config = OptimizerConfig(4, 20_000, "indexed", scheduler)
+            assert config.scheduler == scheduler
 
     def test_bad_scheduler_reported(self):
-        problems = validate_optimizer_knobs(4, 20_000, "indexed", "bogus")
-        assert any("scheduler" in p for p in problems)
+        with pytest.raises(OptimizationError, match="scheduler"):
+            OptimizerConfig(4, 20_000, "indexed", "bogus")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -164,7 +173,7 @@ class TestKnobValidation:
     )
     def test_bad_knobs_raise_optimization_error(self, kwargs):
         with pytest.raises(OptimizationError):
-            optimize_tdfg(_factor_tdfg(), **kwargs)
+            OptimizerConfig(**kwargs)
 
     def test_cli_rejects_bad_knobs_with_exit_1(self, tmp_path, capsys):
         path = tmp_path / "factor.k"
@@ -230,6 +239,79 @@ class TestKnobValidation:
         })
         assert "optimize" not in norm
         assert "strategy" not in norm
+
+
+# ----------------------------------------------------------------------
+# The optimizer inside the timing engine: CLI flags and serve specs
+# ----------------------------------------------------------------------
+# N=1024 has a valid tiling, so the engine lowers the optimized program
+# (at N=64 lowering fails and the region runs near memory).
+FACTOR_SPEC = {
+    "kind": "kernel",
+    "source": FACTOR_SRC,
+    "arrays": {"A": ["N"], "B": ["N"]},
+    "params": {"N": 1024, "V": 3},
+    "optimize": True,
+}
+
+
+class TestOptimizerInEngine:
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_cli_simulate_optimize_prints_egraph_metrics(
+        self, scheduler, tmp_path, capsys
+    ):
+        path = tmp_path / "factor.k"
+        path.write_text(FACTOR_SRC)
+        rc = cli.main([
+            "simulate", str(path), "--array", "A:N", "--array", "B:N",
+            "-p", "N=1024", "-p", "V=3", "--name", "factor", "--optimize",
+            "--rule-scheduler", scheduler, "--metrics",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        lowered = [
+            line.split()[-1] for line in out.splitlines()
+            if line.startswith("engine.regions|")
+        ]
+        assert lowered == ["1.00"]
+        assert "egraph.iterations|strategy=indexed" in out
+        assert "egraph.rule.matches|rule=distrib" in out
+        # Only the greedy scheduler profiles productive matches: the
+        # flag reached the optimize stage inside the engine.
+        assert ("egraph.rule.productive" in out) == (scheduler == "greedy")
+
+    def test_optimize_spec_normalizes_to_all_five_keys(self):
+        expected = {
+            "kind": "kernel",
+            "name": "kernel",
+            "source": FACTOR_SRC,
+            "arrays": {"A": ["N"], "B": ["N"]},
+            "params": {"N": 1024, "V": 3},
+            "dataflow": "inner",
+            "paradigm": "inf-s",
+            "iterations": 1,
+            "optimize": True,
+            "max_iterations": 4,
+            "node_budget": 20_000,
+            "strategy": "indexed",
+            "scheduler": "greedy",
+        }
+        # Key order too: the spec is stored and fingerprinted as JSON.
+        assert list(validate_spec(FACTOR_SPEC).items()) == list(
+            expected.items()
+        )
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_optimize_spec_runs(self, scheduler):
+        spec = validate_spec({**FACTOR_SPEC, "scheduler": scheduler})
+        with trace_metrics.collecting() as reg:
+            result = run_job_spec(spec, None)  # a kernel job needs none
+        assert result["kind"] == "kernel"
+        assert result["paradigm"] == "inf-s"
+        assert result["total_cycles"] > 0
+        counters = reg.snapshot().counters
+        assert any(k.startswith("egraph.iterations") for k in counters)
+        assert counters["engine.regions|paradigm=inf-s|workload=kernel"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +458,7 @@ class TestStrategyAgreement:
         reports = {}
         for strategy in STRATEGIES:
             _, reports[strategy] = optimize_tdfg(
-                tdfg, max_iterations=6, strategy=strategy
+                tdfg, OptimizerConfig(max_iterations=6, strategy=strategy)
             )
         indexed, naive = reports["indexed"], reports["naive"]
         assert indexed.cost_before == naive.cost_before
@@ -391,7 +473,7 @@ class TestStrategyAgreement:
         reports = {}
         for scheduler in SCHEDULERS:
             _, reports[scheduler] = optimize_tdfg(
-                tdfg, max_iterations=6, scheduler=scheduler
+                tdfg, OptimizerConfig(max_iterations=6, scheduler=scheduler)
             )
             assert reports[scheduler].scheduler == scheduler
         assert (
@@ -405,8 +487,11 @@ class TestStrategyAgreement:
         tdfg = _workload_tdfg("conv2d", scale=0.01)
         for strategy in STRATEGIES:
             _, rep = optimize_tdfg(
-                tdfg, max_iterations=6, node_budget=2048,
-                strategy=strategy, scheduler=scheduler,
+                tdfg,
+                OptimizerConfig(
+                    max_iterations=6, node_budget=2048,
+                    strategy=strategy, scheduler=scheduler,
+                ),
             )
             assert rep.cost_after <= rep.cost_before
 
@@ -418,8 +503,10 @@ class TestStrategyAgreement:
         tdfg = _workload_tdfg("conv2d", scale=0.01)
         reports = [
             optimize_tdfg(
-                tdfg, max_iterations=6, node_budget=2048,
-                scheduler=scheduler,
+                tdfg,
+                OptimizerConfig(
+                    max_iterations=6, node_budget=2048, scheduler=scheduler
+                ),
             )[1]
             for _ in range(2)
         ]
@@ -434,7 +521,8 @@ class TestStrategyAgreement:
 # ----------------------------------------------------------------------
 class TestReportStats:
     def test_rule_stats_and_phases_populated(self):
-        _, report = optimize_tdfg(_factor_tdfg())
+        config = OptimizerConfig(max_iterations=6)
+        _, report = optimize_tdfg(_factor_tdfg(), config)
         by_name = {s.name: s for s in report.rule_stats}
         assert set(by_name) <= RULE_NAMES
         assert by_name["distrib"].matches > 0
@@ -446,7 +534,7 @@ class TestReportStats:
 
     def test_metrics_registry_sees_egraph_series(self):
         with trace_metrics.collecting() as reg:
-            optimize_tdfg(_factor_tdfg())
+            optimize_tdfg(_factor_tdfg(), OptimizerConfig(max_iterations=6))
         snap = reg.snapshot()
         assert any(k.startswith("egraph.iterations") for k in snap.counters)
         assert any(
@@ -458,13 +546,15 @@ class TestReportStats:
         assert "egraph.nodes" in snap.dists
 
     def test_greedy_profile_populates_productive_and_benefit(self):
-        _, report = optimize_tdfg(_factor_tdfg())  # greedy is the default
+        config = OptimizerConfig(max_iterations=6)  # greedy is the default
+        _, report = optimize_tdfg(_factor_tdfg(), config)
         assert report.scheduler == "greedy"
         assert sum(s.productive for s in report.rule_stats) > 0
         assert sum(s.benefit for s in report.rule_stats) > 0.0
 
     def test_backoff_report_carries_scheduler_name(self):
-        _, report = optimize_tdfg(_factor_tdfg(), scheduler="backoff")
+        config = OptimizerConfig(max_iterations=6, scheduler="backoff")
+        _, report = optimize_tdfg(_factor_tdfg(), config)
         assert report.scheduler == "backoff"
 
 

@@ -44,7 +44,12 @@ from repro.egraph.rewrites import (
     rule_mv_shrink,
     rule_shrink_shrink,
 )
-from repro.egraph.saturate import SCHEDULERS, STRATEGIES, optimize_tdfg
+from repro.egraph.saturate import (
+    SCHEDULERS,
+    STRATEGIES,
+    OptimizerConfig,
+    optimize_tdfg,
+)
 from repro.geometry import Hyperrect
 from repro.ir.dtypes import DType
 from repro.ir.nodes import (
@@ -303,9 +308,8 @@ def test_strategies_preserve_semantics_and_agree_on_cost(term, seed):
 
     reports = {}
     for strategy in STRATEGIES:
-        out, reports[strategy] = optimize_tdfg(
-            _tdfg_of(term), max_iterations=8, strategy=strategy
-        )
+        config = OptimizerConfig(max_iterations=8, strategy=strategy)
+        out, reports[strategy] = optimize_tdfg(_tdfg_of(term), config)
         rebuilt = out.results[0].node
         assert rebuilt.domain == term.domain
         np.testing.assert_array_equal(
@@ -347,9 +351,11 @@ def test_budget_tripped_runs_deterministic_and_never_regress(
     reports = [
         optimize_tdfg(
             _tdfg_of(term),
-            max_iterations=6,
-            node_budget=64,
-            scheduler=scheduler,
+            OptimizerConfig(
+                max_iterations=6,
+                node_budget=64,
+                scheduler=scheduler,
+            ),
         )[1]
         for _ in range(2)
     ]
@@ -373,7 +379,8 @@ def test_schedulers_agree_when_both_saturate(term):
     """
     reports = {
         scheduler: optimize_tdfg(
-            _tdfg_of(term), max_iterations=8, scheduler=scheduler
+            _tdfg_of(term),
+            OptimizerConfig(max_iterations=8, scheduler=scheduler),
         )[1]
         for scheduler in SCHEDULERS
     }

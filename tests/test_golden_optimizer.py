@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.egraph import SCHEDULERS, optimize_tdfg
+from repro.egraph import SCHEDULERS, OptimizerConfig, optimize_tdfg
 from repro.ir.printer import format_tdfg
 from repro.registry import WORKLOADS
 
@@ -79,7 +79,7 @@ def _records() -> dict:
         tdfg = _first_region_tdfg(name)
         for scheduler in SCHEDULERS:
             optimized, report = optimize_tdfg(
-                tdfg, scheduler=scheduler, **KNOBS
+                tdfg, OptimizerConfig(scheduler=scheduler, **KNOBS)
             )
             out[f"{name}/{scheduler}"] = _record(optimized, report)
     return out

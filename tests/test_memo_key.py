@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 
+from repro.egraph import OptimizerConfig
 from repro.ir.printer import format_tdfg
 from repro.pipeline import TDFGArtifact
 from repro.pipeline.stages import optimize_stage
@@ -40,7 +41,7 @@ def _corpus():
     The second instantiation gives every graph an equal twin that is a
     different object, so a key that depends on object identity splits.
     """
-    optimize = optimize_stage().run
+    optimize = optimize_stage(OptimizerConfig()).run
     tdfgs = []
     for wl in _variants():
         for _ in range(2):

@@ -75,7 +75,7 @@ class TestPassManager:
             compile_pipeline().run(saxpy_source(), until="nope")
 
     def test_no_stage_accepts_artifact(self):
-        pm = PassManager([optimize_stage(enabled=False)])
+        pm = PassManager([optimize_stage(None)])
         with pytest.raises(PipelineError, match="no stage accepts"):
             pm.run(saxpy_source())
 
@@ -113,7 +113,7 @@ class TestVerifiers:
         mul = next(n for n in add.inputs if isinstance(n, ComputeNode))
         # Deliberately corrupt: mul now consumes its own consumer.
         object.__setattr__(mul, "inputs", (mul.inputs[0], add))
-        pm = PassManager([optimize_stage(enabled=False)])
+        pm = PassManager([optimize_stage(None)])
         with pytest.raises(PipelineError, match="cycle") as exc:
             pm.run(TDFGArtifact(tdfg=tdfg))
         assert exc.value.stage == "optimize"
@@ -122,7 +122,7 @@ class TestVerifiers:
     def test_unbound_array_ref_caught(self):
         tdfg = self._region_tdfg()
         del tdfg.arrays["X"]  # X's tensor nodes are now unbound
-        pm = PassManager([optimize_stage(enabled=False)])
+        pm = PassManager([optimize_stage(None)])
         with pytest.raises(PipelineError, match="undeclared") as exc:
             pm.run(TDFGArtifact(tdfg=tdfg))
         assert exc.value.stage == "optimize"
@@ -139,7 +139,7 @@ class TestVerifiers:
         run = compile_pipeline().run(source, until="build-region")
         tdfg = run.final.region.tdfg
         tdfg.params.clear()  # corrupt: the symbolic const is now unbound
-        pm = PassManager([optimize_stage(enabled=False)])
+        pm = PassManager([optimize_stage(None)])
         with pytest.raises(PipelineError, match="missing from params"):
             pm.run(TDFGArtifact(tdfg=tdfg))
 
@@ -156,7 +156,7 @@ class TestVerifiers:
             ),
         )
         tdfg.bind("A", rect, node)
-        pm = PassManager([optimize_stage(enabled=False)])
+        pm = PassManager([optimize_stage(None)])
         with pytest.raises(PipelineError, match="mixes element types"):
             pm.run(TDFGArtifact(tdfg=tdfg))
 
