@@ -7,9 +7,9 @@
   of halving the tile slots.
 * **In-DRAM computing** (§9) — more lanes, far slower triple-row
   primitives; the crossover sits well past the L3's working sets.
-* **JIT memoization** (§4.2) — reported in bench_jit_overhead; here we
-  ablate the runtime *decision* instead (Inf-S with the selection forced
-  off must not beat the adaptive runtime).
+* **JIT memoization** (§4.2) — reported in run_all.py's §8 JIT table;
+  here we ablate the runtime *decision* instead (Inf-S with the
+  selection forced off must not beat the adaptive runtime).
 """
 
 from repro.backend import compile_fat_binary
@@ -19,7 +19,9 @@ from repro.sim.engine import InfinityStreamRunner
 from repro.uarch.dram_compute import InDRAMModel
 from repro.workloads.suite import stencil2d, vec_add, workload
 
-from benchmarks.conftest import emit
+
+def emit(title: str, text: str) -> None:
+    print(f"\n=== {title} ===\n{text}\n")
 
 
 def sram_size_ablation():

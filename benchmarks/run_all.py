@@ -58,7 +58,7 @@ def main() -> int:
         out.flush()
 
     t0 = time.time()
-    section("Eq. 1: peak throughput", _eq1())
+    section("Eq. 1: peak throughput", C.eq1_peak())
     section("Fig 2: paradigm speedup over Base-Thread-1",
             C.fig02_microbench(executor=ex))
     headers, rows, results = C.fig11_speedup(args.scale, executor=ex)
@@ -99,17 +99,6 @@ def main() -> int:
     print(global_stats().summary(), file=err)
     print(f"\n(total {time.time() - t0:.0f}s)", file=err)
     return 0
-
-
-def _eq1():
-    from repro.config import default_system
-
-    system = default_system()
-    rows = []
-    for bits, name in ((8, "int8 add"), (16, "int16 add"), (32, "int32 add")):
-        peak = system.in_memory_peak_ops_per_cycle(bits)
-        rows.append([name, peak, peak / system.core_peak_ops_per_cycle(32)])
-    return ["op", "ops/cycle", "vs 64-core AVX-512"], rows
 
 
 if __name__ == "__main__":

@@ -222,15 +222,14 @@ def region_pipeline(
     jit=None,
     sram_sizes: tuple[int, ...] | None = None,
     tile_override: tuple[int, ...] | None = None,
-    verify: bool = False,
     optimizer: OptimizerConfig | None = None,
 ) -> PassManager:
     """The timing engine's per-region chain: [optimize →] fatbinary →
     jit-lower, with the optimize stage only when *optimizer* is set.
 
-    Verification defaults off here — this runs once per host-loop
-    iteration on the simulation hot path; enable it for debugging
-    (results are identical either way).  When the observability layer
+    It runs once per host-loop iteration on the simulation hot path, so
+    it skips the inter-stage verifiers; :func:`compile_pipeline` runs
+    them on the same stages.  When the observability layer
     (:mod:`repro.trace`) is active at construction time, a
     :class:`~repro.pipeline.hooks.TraceHooks` rides along; with tracing
     off the hook list stays empty and the hot path pays nothing.
@@ -246,4 +245,4 @@ def region_pipeline(
     stages = [fatbinary_stage(sram_sizes), jit_lower_stage(jit, tile_override)]
     if optimizer is not None:
         stages.insert(0, optimize_stage(optimizer))
-    return PassManager(stages, hooks=hooks, verify=verify)
+    return PassManager(stages, hooks=hooks, verify=False)

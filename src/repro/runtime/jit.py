@@ -154,9 +154,7 @@ class JITCompiler:
     system: SystemConfig = field(default_factory=default_system)
     cost_model: JITCostModel = field(default_factory=JITCostModel)
     _memo: dict[tuple, JITResult] = field(default_factory=dict)
-    stats_lowered: int = 0
-    stats_hits: int = 0
-    stats_cache_hits: int = 0
+    stats: JITStats = field(default_factory=JITStats)
 
     def compile_region(
         self,
@@ -169,7 +167,7 @@ class JITCompiler:
         cached = self._memo.get(key)
         if cached is not None:
             hit_cycles = self.cost_model.memo_hit_cycles
-            self.stats_hits += 1
+            self.stats.memo_hits += 1
             _GLOBAL_STATS.memo_hits += 1
             if _metrics.REGISTRY is not None or _trace.TRACER is not None:
                 self._observe("memo-hit", binary.name, hit_cycles, 0.0)
@@ -204,8 +202,8 @@ class JITCompiler:
                     wall_seconds=0.0,
                 )
                 self._memo[key] = result
-                self.stats_lowered += 1  # modeled: this run lowered it
-                self.stats_cache_hits += 1
+                self.stats.lowered += 1  # modeled: this run lowered it
+                self.stats.cache_hits += 1
                 _GLOBAL_STATS.lowered += 1
                 _GLOBAL_STATS.cache_hits += 1
                 if _metrics.REGISTRY is not None or _trace.TRACER is not None:
@@ -247,7 +245,7 @@ class JITCompiler:
             wall_seconds=wall,
         )
         self._memo[key] = result
-        self.stats_lowered += 1
+        self.stats.lowered += 1
         _GLOBAL_STATS.lowered += 1
         if cache is not None and content_key is not None:
             cache.put(content_key, (lowered, layouts, jit_cycles))
@@ -289,16 +287,3 @@ class JITCompiler:
                 wall_seconds=wall_seconds,
                 **extra,
             )
-
-    def stats(self) -> JITStats:
-        """This compiler's counters as a :class:`JITStats` value."""
-        return JITStats(
-            lowered=self.stats_lowered,
-            memo_hits=self.stats_hits,
-            cache_hits=self.stats_cache_hits,
-        )
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.stats_lowered + self.stats_hits
-        return self.stats_hits / total if total else 0.0

@@ -1,7 +1,7 @@
 """Evaluation campaigns: one function per paper figure/table.
 
 Each function returns plain data rows (and a formatted text table via
-:func:`format_table`) so the pytest benchmarks, the ``run_all`` script
+:func:`format_table`) so the ``run_all`` script, the golden-figure tests
 and EXPERIMENTS.md all share one source of truth.
 
 ``scale`` scales the input sizes (1.0 = the paper's Table 3 sizes);
@@ -148,6 +148,20 @@ def _point_jit_overhead(spec):
     res = InfinityStreamRunner(system=sys_, paradigm=INF_S).run(wl)
     nojit = InfinityStreamRunner(system=sys_, paradigm=INF_S_NOJIT).run(wl)
     return res, nojit
+
+
+# ----------------------------------------------------------------------
+# Eq. 1: peak in-memory throughput
+# ----------------------------------------------------------------------
+def eq1_peak():
+    """Peak in-memory add throughput per operand width, and its ratio
+    to every core issuing 32-bit AVX-512 ops (§2.2)."""
+    system = default_system()
+    rows = []
+    for bits, name in ((8, "int8 add"), (16, "int16 add"), (32, "int32 add")):
+        peak = system.in_memory_peak_ops_per_cycle(bits)
+        rows.append([name, peak, peak / system.core_peak_ops_per_cycle(32)])
+    return ["op", "ops/cycle", "vs 64-core AVX-512"], rows
 
 
 # ----------------------------------------------------------------------

@@ -70,10 +70,6 @@ class InfinityStreamRunner:
     tile_override: tuple[int, ...] | None = None
     use_decision: bool = True
     energy: EnergyModel = field(default_factory=EnergyModel)
-    # Run the inter-stage IR verifiers on every per-region pipeline.
-    # Off by default on this hot path; verification never changes any
-    # modeled figure, so enabling it is purely a debugging aid.
-    verify_pipeline: bool = False
 
     def __post_init__(self) -> None:
         if self.paradigm not in ENGINE_PARADIGMS:
@@ -98,7 +94,6 @@ class InfinityStreamRunner:
             jit=jit,
             sram_sizes=(self.system.cache.sram.wordlines,),
             tile_override=self.tile_override,
-            verify=self.verify_pipeline,
             optimizer=wl.optimizer,
         )
         result = RunResult(workload=wl.name, paradigm=self.paradigm)
@@ -188,8 +183,8 @@ class InfinityStreamRunner:
         chip.l3.release_compute_ways()
 
         result.traffic = chip.noc.ledger
-        result.regions = jit.stats_lowered + jit.stats_hits
-        result.jit_memo_hits = jit.stats_hits
+        result.regions = jit.stats.regions
+        result.jit_memo_hits = jit.stats.memo_hits
         self.energy.annotate(result)
         result.record_metrics()
         return result

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.run_all import _eq1
 from repro.sim.campaign import (
+    eq1_peak,
     fig02_microbench,
     fig11_speedup,
     fig12_noc_traffic,
@@ -106,7 +106,7 @@ def test_fig14_cycles_golden(update_golden):
 
 #: The other tables, fixture name -> () -> (headers, rows).
 FIGURES = {
-    "eq1_peak": _eq1,
+    "eq1_peak": eq1_peak,
     "fig02_microbench": fig02_microbench,
     "fig13_infs_traffic": lambda: fig13_infs_traffic(SCALE),
     "fig15_dataflow": lambda: fig15_dataflow(SCALE),

@@ -160,7 +160,7 @@ class TestRegionLowering:
         second = jit.compile_region(fb)
         assert not first.memo_hit and second.memo_hit
         assert second.jit_cycles < first.jit_cycles
-        assert jit.hit_rate == 0.5
+        assert jit.stats.memo_hit_rate == 0.5
 
     def test_shrinking_regions_never_memoize(self):
         """Gaussian elimination's regions differ every iteration (§8)."""
@@ -182,8 +182,8 @@ class TestRegionLowering:
             region = ik.region_at(env, ik.segments[0])
             fb = compile_fat_binary(region.tdfg, (256,))
             jit.compile_region(fb)
-        assert jit.stats_hits == 0
-        assert jit.stats_lowered == 15
+        assert jit.stats.memo_hits == 0
+        assert jit.stats.lowered == 15
 
     def test_wave_ids_group_decomposed_commands(self):
         res = self._lower(

@@ -193,20 +193,6 @@ class TestVerifiers:
         run = compile_pipeline(optimize=True).run(saxpy_source())
         assert run.final.result.lowered.num_commands > 0
 
-    def test_engine_verification_changes_nothing(self):
-        from repro.sim.engine import InfinityStreamRunner
-        from repro.workloads.suite import workload
-
-        wl = workload("stencil1d", scale=0.05)
-        plain = InfinityStreamRunner(paradigm="inf-s").run(wl)
-        checked = InfinityStreamRunner(
-            paradigm="inf-s", verify_pipeline=True
-        ).run(wl)
-        assert plain.total_cycles == checked.total_cycles
-        assert plain.traffic.total == checked.traffic.total
-        assert plain.regions == checked.regions
-        assert plain.jit_memo_hits == checked.jit_memo_hits
-
 
 class TestInstrumentation:
     def test_timing_hooks_table(self):
